@@ -4,6 +4,18 @@ Exit codes: 0 on success, 1 for usage or configuration errors, 2 when a
 requested verdict comes back undecided -- distinct so scripts can branch on
 numerical non-decision.  All outputs are deterministic: identical inputs
 produce byte-identical files.
+
+Library errors end the run with exit code 1 and a one-line ``error: ...``
+message on stderr, never a traceback:
+
+- ``ConfigError``, ``SymbolError`` and other ``ValueError``: bad arguments,
+  symbol files or parameters;
+- ``dynamics.UnclassifiableError``: residuals too large to classify;
+- ``dynamics.NonConvergenceError``: an orbit exhausted its iteration budget;
+- ``weighted.BudgetExceededError``: no lacunary exponent under the budget
+  (for example ``counterexample --R 1000``);
+- ``ArithmeticError``: a numerical certificate failed (a bound was
+  exceeded, or degenerate geometry such as collinear boundary images).
 """
 
 from __future__ import annotations
@@ -248,7 +260,7 @@ def _cmd_gallery(cfg: RunConfig) -> int:
         _write_json(os.path.join(out, f"{name}_classify.json"),
                     dynamics.classification_to_dict(cls, s))
         for space in ("A", "Hinf"):
-            v = ergodicity.verdict(s, space, budgets)
+            v = ergodicity.verdict(s, space, budgets, cls=cls)
             _write_json(os.path.join(out, f"{name}_verdict_{space}.json"), v.to_dict())
             undecided |= ergodicity.UNKNOWN in (v.mean_ergodic, v.uniformly_mean_ergodic)
             print(f"{name:12s} {space:4s} {cls.kind:22s} "
@@ -349,10 +361,8 @@ def main(argv=None) -> int:
         cfg = _config_from_args(args)
         os.makedirs(cfg.out_dir, exist_ok=True)
         return _COMMANDS[cfg.command](cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (SymbolError, dynamics.UnclassifiableError, ValueError) as exc:
+    except (ValueError, dynamics.UnclassifiableError, dynamics.NonConvergenceError,
+            weighted.BudgetExceededError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -493,19 +493,50 @@ def _wrapped_argument_gap(s: Symbol, t: np.ndarray, period: int) -> np.ndarray:
     return np.angle(w * np.exp(-1j * t))
 
 
+def _image_radius_bound(s: Symbol) -> float:
+    """A radius R with |phi| <= R on the closed disc (infinite when unknown).
+
+    Exact for Moebius maps, whose pole lies off the closed disc (|d| > |c|):
+    the circle is carried to the circle with center
+    (b conj(d) - a conj(c)) / (|d|^2 - |c|^2) and radius
+    |ad - bc| / (|d|^2 - |c|^2).  The triangle inequality for polynomial and
+    Taylor symbols.  Blaschke products are unimodular on the circle.
+    """
+    if isinstance(s, (Polynomial, Taylor)):
+        return float(sum(abs(c) for c in s.coeffs))
+    if isinstance(s, Moebius):
+        scale = abs(s.d) ** 2 - abs(s.c) ** 2
+        center = abs(s.b * s.d.conjugate() - s.a * s.c.conjugate())
+        return (center + abs(s.det)) / scale
+    return math.inf
+
+
 def boundary_periodic_points(s: Symbol, max_period: int,
                              samples: int = 2048) -> list[BoundaryPeriodicPoint]:
     """Periodic points of the symbol on the unit circle, up to ``max_period``.
 
-    Roots of phi^p(e^{it}) = e^{it} are bracketed by sign changes of the
-    wrapped argument gap arg(phi^p(e^{it})) - t and refined by bisection;
-    every candidate must then pass the residual test |phi^p(q) - q| <= 1e-10,
-    which also discards argument crossings where the modulus drops inside the
-    disc (the symbol need not carry the circle onto itself).  Points are
-    reported once, with their minimal period.
+    A point q is reported only if it passes the residual test
+    |phi^p(q) - q| <= 1e-10, which needs |phi^p(q)| >= 1 - 1e-10.  When the
+    symbol maps the closed disc into a disc of radius R < 1 - 1e-10 (the
+    residual test's margin), so does every iterate, and the search returns
+    [] without sampling; R is exact for Moebius maps and the absolute
+    coefficient sum for polynomial and Taylor symbols.
+
+    Otherwise, for each period, roots of phi^p(e^{it}) = e^{it} are bracketed
+    by strict sign changes of the wrapped argument gap
+    arg(phi^p(e^{it})) - t on ``samples`` equispaced angles, skipping branch
+    jumps of the wrapped argument; exact zeros of the gap are taken as they
+    are.  All brackets are bisected together, one array evaluation of the
+    gap per step, each for at most 80 steps or until it is narrower than
+    1e-14.  Every candidate must then pass the residual test, which also
+    discards argument crossings where the modulus drops inside the disc (the
+    symbol need not carry the circle onto itself).  Points are reported
+    once, with their minimal period.
     """
     if max_period < 1 or max_period > 8:
         raise ValueError("max_period must be between 1 and 8")
+    if _image_radius_bound(s) < 1.0 - 1e-10:
+        return []
     found: list[BoundaryPeriodicPoint] = []
 
     def register(t_root: float, period: int):
@@ -531,33 +562,29 @@ def boundary_periodic_points(s: Symbol, max_period: int,
                 return
         found.append(BoundaryPeriodicPoint(q, minimal, residual))
 
+    t = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
+    t_next = np.append(t[1:], 2.0 * np.pi)
     for period in range(1, max_period + 1):
-        t = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
         gaps = _wrapped_argument_gap(s, t, period)
-        for i in range(samples):
-            a, b = t[i], t[(i + 1) % samples] if i + 1 < samples else 2.0 * np.pi
-            ga, gb = gaps[i], gaps[(i + 1) % samples]
-            if ga == 0.0:
-                register(float(a), period)
-                continue
-            if ga * gb >= 0.0:
-                continue
-            if abs(ga) + abs(gb) >= np.pi:
-                continue  # branch jump of the wrapped argument, not a root
-            lo, hi, glo = float(a), float(b), float(ga)
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                gm = float(_wrapped_argument_gap(s, np.array([mid]), period)[0])
-                if gm == 0.0:
-                    lo = hi = mid
-                    break
-                if glo * gm < 0.0:
-                    hi = mid
-                else:
-                    lo, glo = mid, gm
-                if hi - lo < 1e-14:
-                    break
-            register(0.5 * (lo + hi), period)
+        g_next = np.roll(gaps, -1)
+        zeros = np.flatnonzero(gaps == 0.0)
+        brackets = np.flatnonzero((gaps * g_next < 0.0)
+                                  & (np.abs(gaps) + np.abs(g_next) < np.pi))
+        lo, hi, glo = t[brackets], t_next[brackets], gaps[brackets]
+        active = np.arange(len(brackets))
+        for _ in range(80):
+            if not len(active):
+                break
+            mid = 0.5 * (lo[active] + hi[active])
+            gm = _wrapped_argument_gap(s, mid, period)
+            left = glo[active] * gm < 0.0
+            hit = gm == 0.0  # an exact root closes its bracket on itself
+            hi[active[left | hit]] = mid[left | hit]
+            lo[active[~left]] = mid[~left]
+            glo[active[~left]] = gm[~left]
+            active = active[~hit & (hi[active] - lo[active] >= 1e-14)]
+        for root in np.concatenate((t[zeros], 0.5 * (lo + hi))):
+            register(float(root), period)
     found.sort(key=lambda bp: math.atan2(bp.point.imag, bp.point.real) % (2.0 * math.pi))
     return found
 

@@ -648,7 +648,7 @@ def _boundary_verdict(s: Symbol, space: str, cls, budgets: VerdictBudgets) -> Er
 
 
 def verdict(s: Symbol, space: str, budgets: VerdictBudgets | None = None,
-            weight=None) -> ErgodicityVerdict:
+            weight=None, cls: dynamics.SymbolClass | None = None) -> ErgodicityVerdict:
     """Mean-ergodicity verdict for the composition operator on one space.
 
     Classifies the symbol, then applies the decision rules: periodic
@@ -659,11 +659,14 @@ def verdict(s: Symbol, space: str, budgets: VerdictBudgets | None = None,
     attracting points are never uniformly mean ergodic, with the exact
     Moebius/Blaschke dichotomies and the orbit-density experiment deciding
     mean ergodicity.  ``unknown`` is a valid outcome and carries its reason.
+    ``cls``, when given, is the symbol's ``dynamics.classify`` result and
+    saves classifying it again.
     """
     if space not in SPACES:
         raise ValueError(f"space must be one of {SPACES}")
     budgets = budgets or VerdictBudgets()
-    cls = dynamics.classify(s)
+    if cls is None:
+        cls = dynamics.classify(s)
     if isinstance(cls, dynamics.Identity):
         return _elliptic_verdict(space, None, weight)
     if isinstance(cls, dynamics.EllipticAutomorphism):

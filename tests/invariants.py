@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 import disc_ergodics as de
+from disc_ergodics.dynamics import FIXED_POINT_RESIDUAL_TOL
 
 SEED = 20240613
 
@@ -150,10 +151,58 @@ def check_weight_monotonicity(cases: int = 100) -> int:
     return done
 
 
+def random_circle_symbol(rng) -> de.Symbol:
+    """Blaschke product or polynomial; most reach the unit circle.
+
+    Polynomials are either a rotated mixture of monomials (c_0 = 0 or not,
+    c_k >= 0 before rotation, sum c_k = 1), which fixes a boundary point, or
+    a ``random_symbol`` polynomial with absolute coefficient sum below one.
+    """
+    pick = rng.integers(0, 3)
+    if pick == 0:
+        zeros = [_random_interior(rng, 0.7) for _ in range(int(rng.integers(1, 4)))]
+        return de.Blaschke(rng.uniform(0, 2 * math.pi), zeros)
+    if pick == 1:
+        weights = rng.uniform(0.0, 1.0, int(rng.integers(3, 5)))
+        if rng.uniform() < 0.5:
+            weights[0] = 0.0
+        weights /= weights.sum()
+        lam = cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+        return de.Polynomial([c * lam ** (k - 1) for k, c in enumerate(weights)])
+    coeffs = np.array([_random_interior(rng, 1.0) for _ in range(int(rng.integers(2, 6)))])
+    coeffs *= rng.uniform(0.3, 0.95) / max(1e-9, np.sum(np.abs(coeffs)))
+    return de.Polynomial(list(coeffs))
+
+
+def check_boundary_periodic_points(cases: int = 100) -> int:
+    """Reported boundary periodic points are unimodular, pass the residual
+    test, carry their minimal period, and are at least 1e-8 apart."""
+    rng = np.random.default_rng(SEED + 5)
+    done = 0
+    while done < cases:
+        s = random_circle_symbol(rng)
+        max_period = int(rng.integers(1, 4))
+        points = de.boundary_periodic_points(s, max_period)
+        for i, bp in enumerate(points):
+            assert abs(abs(bp.point) - 1.0) <= 1e-12, (s, bp)
+            assert bp.residual <= 1e-10 and 1 <= bp.period <= max_period, (s, bp)
+            orbit = [bp.point]
+            for _ in range(bp.period):
+                orbit.append(complex(s(orbit[-1])))
+            assert abs(orbit[-1] - bp.point) <= FIXED_POINT_RESIDUAL_TOL, (s, bp)
+            assert all(abs(w - bp.point) > FIXED_POINT_RESIDUAL_TOL
+                       for w in orbit[1:-1]), (s, bp)
+            assert all(abs(bp.point - other.point) >= 1e-8
+                       for other in points[i + 1:]), (s, bp)
+        done += 1
+    return done
+
+
 ALL_CHECKS = {
     "derivative_vs_finite_difference": check_derivative_finite_difference,
     "schwarz_monotonicity": check_schwarz_monotonicity,
     "classify_conjugation_invariance": check_classify_conjugation_invariance,
     "cesaro_power_boundedness": check_cesaro_power_boundedness,
     "weight_monotonicity": check_weight_monotonicity,
+    "boundary_periodic_points": check_boundary_periodic_points,
 }

@@ -1,7 +1,9 @@
 import json
 import os
 
-from disc_ergodics import cli, gallery
+import pytest
+
+from disc_ergodics import cli, dynamics, gallery
 
 
 def _write_gallery(tmp_path, name):
@@ -100,6 +102,29 @@ def test_gallery_command(tmp_path):
     assert "parab_verdict_A.json" in written
     doc = cli.load_report(str(tmp_path / "gallery" / "parab_verdict_A.json"))
     assert doc["mean_ergodic"] == "yes" and doc["uniformly_mean_ergodic"] == "no"
+
+
+def test_budget_exceeded_exits_one(tmp_path, capsys):
+    # R = 1000 asks |1 - lam^n| <= 1000^-k; at k = 5 no exponent under the
+    # budget qualifies
+    code = cli.main(["counterexample", "--R", "1000", "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: no exponent") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("exc", [
+    dynamics.NonConvergenceError("no convergence within 10 iterations at tol 1e-06"),
+    ArithmeticError("collinear boundary images; not a disc-preserving map"),
+], ids=["non_convergence", "arithmetic"])
+def test_library_errors_exit_one(tmp_path, capsys, monkeypatch, exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    sym = _write_gallery(tmp_path, "zsq")
+    monkeypatch.setattr(dynamics, "classify", fail)
+    assert cli.main(["classify", "--symbol", sym, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {exc}\n"
 
 
 def test_threads_env_validation(tmp_path, monkeypatch):

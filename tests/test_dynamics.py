@@ -1,11 +1,19 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import disc_ergodics as de
-from invariants import check_classify_conjugation_invariance, random_automorphism
+from disc_ergodics import dynamics
+from disc_ergodics.symbols import boundary_points
+from invariants import (
+    check_boundary_periodic_points,
+    check_classify_conjugation_invariance,
+    random_automorphism,
+    random_circle_symbol,
+)
 
 HALF = de.Moebius(1, 0, 0, 2)
 HYPERBOLIC = de.Moebius(2, 1, 1, 2)
@@ -227,6 +235,125 @@ def test_boundary_periodic_points_none_for_half():
     assert de.boundary_periodic_points(HALF, 2) == []
 
 
+def test_boundary_periodic_points_square_to_period_four():
+    # z^(2^p) = z on the circle: the (2^p - 1)-th roots of unity; the point
+    # e^(2 pi i f) has minimal period the least p with (2^p - 1) f integral
+    minimal = {}
+    for n in (1, 3, 7, 15):
+        for k in range(n):
+            f = Fraction(k, n)
+            minimal[f] = min(p for p in range(1, 5) if (f * (2**p - 1)).denominator == 1)
+    assert len(minimal) == 21
+    pts = de.boundary_periodic_points(ZSQ, 4)
+    assert len(pts) == 21
+    matched = set()
+    for bp in pts:
+        f = min(minimal, key=lambda g: abs(cmath.exp(2j * math.pi * g) - bp.point))
+        assert abs(cmath.exp(2j * math.pi * f) - bp.point) <= 1e-9
+        assert bp.period == minimal[f]
+        matched.add(f)
+    assert len(matched) == 21
+
+
+@pytest.mark.parametrize("s", [
+    HALF,
+    de.Moebius(0.9, 0, 0, 1),
+    de.Polynomial([0.1, 0.3j, -0.4, 0.15]),
+], ids=["z_half", "dilation", "polynomial"])
+def test_boundary_periodic_points_skip_maps_into_smaller_disc(s, monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError("sampled a symbol whose image misses the circle")
+
+    monkeypatch.setattr(dynamics, "_wrapped_argument_gap", no_sampling)
+    assert de.boundary_periodic_points(s, 8) == []
+
+
+def test_boundary_periodic_points_rotated_polynomial_not_skipped():
+    # psi(z) = conj(lam) p(lam z) with p = 0.5 z + 0.3 z^2 + 0.2 z^3 fixes
+    # conj(lam); its coefficient bound is 1, the edge of the skip rule
+    lam = cmath.exp(0.7j)
+    s = de.Polynomial([c * lam ** (k - 1) for k, c in enumerate([0.0, 0.5, 0.3, 0.2])])
+    assert abs(dynamics._image_radius_bound(s) - 1.0) <= 1e-15
+    pts = de.boundary_periodic_points(s, 2)
+    assert len(pts) == 1
+    assert abs(pts[0].point - lam.conjugate()) <= 1e-10 and pts[0].period == 1
+
+
+@pytest.mark.parametrize("m", [
+    HALF, TANGENT, HYPERBOLIC, de.Moebius(0.3, 0.2j, 0.4, 1.0),
+    de.Moebius(1e-8, 0.5, 0, 1),
+])
+def test_image_radius_bound_is_the_moebius_maximum(m):
+    sampled = float(np.max(np.abs(m(boundary_points(1 << 14)))))
+    bound = dynamics._image_radius_bound(m)
+    assert sampled - 1e-12 <= bound <= sampled + 1e-6
+
+
+def _scalar_bisection_search(s, max_period, samples=2048):
+    """Reference: the search with one scalar bisection per bracket."""
+    found = []
+
+    def register(t_root, period):
+        q = cmath.exp(1j * t_root)
+        w = q
+        for _ in range(period):
+            w = complex(s(w))
+        residual = abs(w - q)
+        if residual > 1e-10:
+            return
+        minimal = period
+        for d in range(1, period):
+            if period % d:
+                continue
+            wd = q
+            for _ in range(d):
+                wd = complex(s(wd))
+            if abs(wd - q) <= dynamics.FIXED_POINT_RESIDUAL_TOL:
+                minimal = d
+                break
+        if all(abs(known.point - q) >= 1e-8 for known in found):
+            found.append(dynamics.BoundaryPeriodicPoint(q, minimal, residual))
+
+    t = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
+    for period in range(1, max_period + 1):
+        gaps = dynamics._wrapped_argument_gap(s, t, period)
+        for i in range(samples):
+            ga, gb = gaps[i], gaps[(i + 1) % samples]
+            if ga == 0.0:
+                register(float(t[i]), period)
+                continue
+            if ga * gb >= 0.0 or abs(ga) + abs(gb) >= np.pi:
+                continue
+            lo = float(t[i])
+            hi = float(t[i + 1]) if i + 1 < samples else 2.0 * np.pi
+            glo = float(ga)
+            for _ in range(80):
+                mid = 0.5 * (lo + hi)
+                gm = float(dynamics._wrapped_argument_gap(s, np.array([mid]), period)[0])
+                if gm == 0.0:
+                    lo = hi = mid
+                    break
+                if glo * gm < 0.0:
+                    hi = mid
+                else:
+                    lo, glo = mid, gm
+                if hi - lo < 1e-14:
+                    break
+            register(0.5 * (lo + hi), period)
+    found.sort(key=lambda bp: math.atan2(bp.point.imag, bp.point.real) % (2.0 * math.pi))
+    return found
+
+
+def test_boundary_periodic_points_match_scalar_bisection():
+    rng = np.random.default_rng(11)
+    symbols = [ZSQ, BLEND, HYPERBOLIC, TANGENT, PARABOLIC]
+    symbols += [random_circle_symbol(rng) for _ in range(12)]
+    for s in symbols:
+        for max_period in (1, 2, 3):
+            assert de.boundary_periodic_points(s, max_period) == \
+                _scalar_bisection_search(s, max_period), (s, max_period)
+
+
 # ---------------------------------------------------------------------------
 # contraction and circle images
 
@@ -282,6 +409,10 @@ def test_fixed_point_residuals():
 
 def test_conjugation_invariance():
     assert check_classify_conjugation_invariance(100) >= 100
+
+
+def test_boundary_periodic_points_invariants():
+    assert check_boundary_periodic_points(100) >= 100
 
 
 def test_denjoy_wolff_consistency_across_seeds():
