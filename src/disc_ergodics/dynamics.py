@@ -22,7 +22,6 @@ from .symbols import (
     Polynomial,
     Symbol,
     Taylor,
-    boundary_points,
     disc_grid,
 )
 
@@ -299,27 +298,9 @@ def _as_moebius(s: Symbol) -> Moebius | None:
     return None
 
 
-def _preserves_boundary(s: Symbol, samples: int = 256, tol: float = 1e-10) -> bool:
-    values = np.abs(s(boundary_points(samples)))
-    return bool(np.max(np.abs(values - 1.0)) <= tol)
-
-
-def _is_automorphism(s: Symbol) -> bool:
-    # Boundary modulus one plus an injectivity surrogate: Moebius maps are
-    # injective, a Blaschke product is injective exactly in degree one, and a
-    # boundary-preserving polynomial or Taylor symbol must itself be linear.
-    if not _preserves_boundary(s):
-        return False
-    if isinstance(s, Moebius):
-        return True
-    if isinstance(s, Blaschke):
-        return s.degree == 1
-    return _as_moebius(s) is not None
-
-
-def _rotation_period(multiplier: complex, k_max: int = PERIOD_SEARCH_MAX) -> int | None:
+def _rotation_period(multiplier: complex) -> int | None:
     w = multiplier
-    for k in range(1, k_max + 1):
+    for k in range(1, PERIOD_SEARCH_MAX + 1):
         if abs(w - 1.0) <= 1e-10:
             return k
         w *= multiplier
@@ -356,13 +337,14 @@ def _boundary_class(s: Symbol, z0: complex) -> SymbolClass:
     )
 
 
-def classify(s: Symbol, tol_par: float = TOL_PARABOLIC,
-             k_max: int = PERIOD_SEARCH_MAX) -> SymbolClass:
+def classify(s: Symbol) -> SymbolClass:
     """Sort a symbol into identity / elliptic automorphism / interior DW /
     hyperbolic DW / parabolic DW.
 
-    Automorphisms are recognized by boundary modulus plus injectivity and
-    classified through their Moebius form.  Everything else goes through the
+    Automorphisms are the symbols with a Moebius form (a polynomial or Taylor
+    symbol that preserves the circle must be linear) that carries the unit
+    circle onto itself, and the degree-one Blaschke products; they are
+    classified through that form.  Everything else goes through the
     Denjoy-Wolff search; boundary candidates are Newton-polished and verified
     against FIXED_POINT_RESIDUAL_TOL before being believed.  Raises
     UnclassifiableError instead of guessing when residuals stay large.
@@ -370,7 +352,7 @@ def classify(s: Symbol, tol_par: float = TOL_PARABOLIC,
     if _is_identity_probe(s):
         return Identity()
     mo = _as_moebius(s)
-    if _is_automorphism(s) and mo is not None:
+    if mo is not None and (isinstance(s, Blaschke) or moebius_image_circle(mo).is_unit_circle):
         # Trace test: tr^2/det is real for an automorphism, below 4 exactly
         # in the elliptic case.  It needs no root extraction, so it stays
         # reliable where nearly-coalescing fixed points would not.
@@ -388,7 +370,7 @@ def classify(s: Symbol, tol_par: float = TOL_PARABOLIC,
                     f"automorphism multiplier modulus {abs(lam):.8g} is not 1"
                 )
             lam /= abs(lam)
-            period = _rotation_period(lam, k_max)
+            period = _rotation_period(lam)
             return EllipticAutomorphism(p, lam, period)
         dw = _moebius_dw(mo)
         return _boundary_class(s, dw.point)
@@ -441,14 +423,7 @@ def classify(s: Symbol, tol_par: float = TOL_PARABOLIC,
 def sup_norm_sequence(s: Symbol, n_max: int, boundary_samples: int = 512,
                       radial_samples: int = 64) -> np.ndarray:
     """Grid sup of |phi^n| for n = 1..n_max in a single sweep."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    w = disc_grid(boundary_samples, radial_samples)
-    out = np.empty(n_max)
-    for i in range(n_max):
-        w = s(w)
-        out[i] = float(np.max(np.abs(w)))
-    return out
+    return sup_distance_sequence(s, 0.0, n_max, boundary_samples, radial_samples)
 
 
 def sup_norm_iterate(s: Symbol, n: int, boundary_samples: int = 512,
@@ -496,18 +471,15 @@ def _wrapped_argument_gap(s: Symbol, t: np.ndarray, period: int) -> np.ndarray:
 def _image_radius_bound(s: Symbol) -> float:
     """A radius R with |phi| <= R on the closed disc (infinite when unknown).
 
-    Exact for Moebius maps, whose pole lies off the closed disc (|d| > |c|):
-    the circle is carried to the circle with center
-    (b conj(d) - a conj(c)) / (|d|^2 - |c|^2) and radius
-    |ad - bc| / (|d|^2 - |c|^2).  The triangle inequality for polynomial and
-    Taylor symbols.  Blaschke products are unimodular on the circle.
+    Exact for Moebius maps: |center| + radius of ``moebius_image_circle``.
+    The triangle inequality for polynomial and Taylor symbols.  Blaschke
+    products are unimodular on the circle.
     """
     if isinstance(s, (Polynomial, Taylor)):
         return float(sum(abs(c) for c in s.coeffs))
     if isinstance(s, Moebius):
-        scale = abs(s.d) ** 2 - abs(s.c) ** 2
-        center = abs(s.b * s.d.conjugate() - s.a * s.c.conjugate())
-        return (center + abs(s.det)) / scale
+        circle = moebius_image_circle(s)
+        return abs(circle.center) + circle.radius
     return math.inf
 
 
@@ -631,42 +603,33 @@ class ImageCircle:
 
 
 def moebius_image_circle(m: Moebius) -> ImageCircle:
-    """Image of the unit circle under a Moebius map.
+    """Image of the unit circle under a Moebius map, in closed form.
 
-    The circle through the images of 1, i and -1 (circumcenter formula);
-    when all three land back on the unit circle the image is the circle
-    itself.  A disc-preserving Moebius map cannot send the circle to a line,
-    so collinear images are reported as a defect.
+    The pole lies off the closed disc (|d| > |c|), so the circle goes to the
+    circle with center (b conj(d) - a conj(c)) / (|d|^2 - |c|^2) and radius
+    |ad - bc| / (|d|^2 - |c|^2) (Cowen-MacCluer 1995, ch. 2).  When
+    |center| <= radius, which holds for every map near the unit circle,
+    |center| + |radius - 1| is exactly the maximum of ||phi| - 1| on the
+    circle; the image is reported as the unit circle itself when that sum is
+    at most 1e-10.
     """
-    z1, z2, z3 = (complex(m(w)) for w in (1.0, 1j, -1.0))
-    if all(abs(abs(z) - 1.0) <= 1e-10 for z in (z1, z2, z3)):
+    scale = abs(m.d) ** 2 - abs(m.c) ** 2
+    center = (m.b * m.d.conjugate() - m.a * m.c.conjugate()) / scale
+    radius = abs(m.det) / scale
+    if abs(center) + abs(radius - 1.0) <= 1e-10:
         return ImageCircle(0.0, 1.0, True)
-    den = (
-        z1.conjugate() * (z2 - z3)
-        + z2.conjugate() * (z3 - z1)
-        + z3.conjugate() * (z1 - z2)
-    )
-    if abs(den) < 1e-14:
-        raise ArithmeticError("collinear boundary images; not a disc-preserving map")
-    num = (
-        abs(z1) ** 2 * (z2 - z3)
-        + abs(z2) ** 2 * (z3 - z1)
-        + abs(z3) ** 2 * (z1 - z2)
-    )
-    center = num / den
-    return ImageCircle(center, abs(z1 - center), False)
+    return ImageCircle(center, radius, False)
 
 
 # ---------------------------------------------------------------------------
 # Report serialization
 
-def classification_to_dict(c: SymbolClass, s: Symbol | None = None,
-                           tolerances: dict | None = None) -> dict:
+def classification_to_dict(c: SymbolClass, s: Symbol | None = None) -> dict:
     doc = c.to_dict()
     if s is not None and not isinstance(c, Identity):
         point = c.fixed_point if isinstance(c, EllipticAutomorphism) else c.z0
         doc["residual"] = abs(complex(s(point)) - point)
-    doc["tolerances"] = tolerances or {
+    doc["tolerances"] = {
         "tol_parabolic": TOL_PARABOLIC,
         "fixed_point_residual": FIXED_POINT_RESIDUAL_TOL,
     }

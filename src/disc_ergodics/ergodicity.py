@@ -18,7 +18,7 @@ import mpmath as mp
 import numpy as np
 
 from . import dynamics
-from .symbols import Blaschke, Moebius, Orbit, Symbol, boundary_points
+from .symbols import Blaschke, Orbit, Symbol, _horner, boundary_points
 from .weighted import VAlpha
 
 # Decision-rule tags carried by verdicts.  Stable identifiers: downstream
@@ -56,8 +56,8 @@ class TestFunction:
     def __call__(self, z):
         raise NotImplementedError
 
-    def boundary_sup(self, samples: int = 1024) -> float:
-        return float(np.max(np.abs(self(boundary_points(samples)))))
+    def boundary_sup(self) -> float:
+        return float(np.max(np.abs(self(boundary_points(1024)))))
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ class Monomial(TestFunction):
             return 1.0 + 0.0 * z
         return z ** self.j
 
-    def boundary_sup(self, samples: int = 1024) -> float:
+    def boundary_sup(self) -> float:
         return 1.0
 
 
@@ -87,12 +87,7 @@ class TaylorFn(TestFunction):
         object.__setattr__(self, "coeffs", tuple(complex(c) for c in coeffs))
 
     def __call__(self, z):
-        if not self.coeffs:
-            return 0.0 * z
-        acc = self.coeffs[-1] + 0.0 * z
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * z + c
-        return acc
+        return _horner(self.coeffs, z)
 
 
 @dataclass(frozen=True)
@@ -113,7 +108,7 @@ class HalfPointWitness(TestFunction):
     def __call__(self, z):
         return ((z + self.z0) / 2.0) ** self.k
 
-    def boundary_sup(self, samples: int = 1024) -> float:
+    def boundary_sup(self) -> float:
         # |g|^k attains its maximum 1 exactly at z0, which a sample grid can
         # miss for large k; return the exact value.
         return 1.0
@@ -130,11 +125,10 @@ class CesaroTrace:
     n: int
     partial_means: np.ndarray
     final: complex
-    orbit: np.ndarray | None = field(default=None, repr=False)
+    orbit: np.ndarray = field(repr=False)
 
 
-def cesaro_apply(s: Symbol, f: TestFunction, z: complex, n: int,
-                 keep_orbit: bool = True) -> CesaroTrace:
+def cesaro_apply(s: Symbol, f: TestFunction, z: complex, n: int) -> CesaroTrace:
     """One orbit pass with the incremental mean update.
 
     mean_{m+1} = mean_m + (f(phi^{m+1}(z)) - mean_m) / (m+1) avoids both the
@@ -147,13 +141,12 @@ def cesaro_apply(s: Symbol, f: TestFunction, z: complex, n: int,
     if abs(z) > 1.0 + 1e-9:
         raise ValueError("z must lie in the closed disc")
     means = np.empty(n, dtype=complex)
-    orbit = np.empty(n, dtype=complex) if keep_orbit else None
+    orbit = np.empty(n, dtype=complex)
     w = z
     mean = 0.0 + 0.0j
     for m in range(n):
         w = complex(s(w))
-        if orbit is not None:
-            orbit[m] = w
+        orbit[m] = w
         mean += (complex(f(w)) - mean) / (m + 1)
         means[m] = mean
     sup = f.boundary_sup()
@@ -357,7 +350,10 @@ def boundary_gap_witness(s: Symbol, z0: complex, n: int) -> GapWitness:
     Orbits hug z0 at geometric speed, so the minimal distance underflows
     doubles already at moderate n; the orbit therefore runs in high-precision
     arithmetic and the required power k -- an exact integer that may be
-    astronomically large -- is applied in the log domain.
+    astronomically large -- is applied in the log domain.  The orbit uses
+    the symbol's own evaluator on mpmath values, so constants enter as the
+    doubles the double-precision code iterates; a Blaschke product's
+    rotation factor is the double-rounded e^{i rotation}.
     """
     z0 = complex(z0)
     if abs(abs(z0) - 1.0) > 1e-8:
@@ -372,7 +368,7 @@ def boundary_gap_witness(s: Symbol, z0: complex, n: int) -> GapWitness:
         w = mp.mpc(0)
         orbit_pts = []
         for _ in range(n):
-            w = _eval_mp(s, w)
+            w = s(w)
             orbit_pts.append(w)
         dists = [abs(p - z0m) for p in orbit_pts] + [abs(z0m)]
         dmin = min(dists)
@@ -406,25 +402,6 @@ def _unit_power(z0m, k: int):
     """z0^k for unimodular z0 and a possibly huge integer k, via the argument."""
     theta = mp.arg(z0m)
     return mp.exp(1j * mp.fmod(theta * k, 2 * mp.pi))
-
-
-def _eval_mp(s: Symbol, z):
-    """Evaluate a symbol in mpmath arithmetic (mirrors the double-path eval)."""
-    if isinstance(s, Moebius):
-        return (mp.mpc(s.a) * z + mp.mpc(s.b)) / (mp.mpc(s.c) * z + mp.mpc(s.d))
-    if isinstance(s, Blaschke):
-        acc = mp.exp(1j * mp.mpf(s.rotation))
-        for a in s.zeros:
-            am = mp.mpc(a)
-            acc *= (z - am) / (1 - mp.conj(am) * z)
-        return acc
-    coeffs = getattr(s, "coeffs", None)
-    if coeffs is not None:
-        acc = mp.mpc(coeffs[-1])
-        for c in reversed(coeffs[:-1]):
-            acc = acc * z + mp.mpc(c)
-        return acc
-    return mp.mpc(complex(s(complex(z))))
 
 
 # ---------------------------------------------------------------------------
@@ -685,8 +662,6 @@ def format_float(x: float) -> str:
 
 def cesaro_csv_rows(trace: CesaroTrace):
     """Plot-ready rows: n, orbit point, running mean (real/imaginary parts)."""
-    if trace.orbit is None:
-        raise ValueError("trace was computed without its orbit")
     yield "n,orbit_re,orbit_im,mean_re,mean_im"
     for m in range(trace.n):
         w = trace.orbit[m]

@@ -38,7 +38,3 @@ def gallery_document(name: str) -> dict:
 
 def gallery_symbol(name: str) -> Symbol:
     return parse_symbol(gallery_document(name))
-
-
-def gallery_symbols() -> dict[str, Symbol]:
-    return {name: gallery_symbol(name) for name in GALLERY_NAMES}

@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -210,9 +210,6 @@ class Blaschke(Symbol):
     def degree(self) -> int:
         return len(self.zeros)
 
-    def _factors(self, z):
-        return [(z - a) / (1.0 - np.conjugate(a) * z) for a in self.zeros]
-
     def __call__(self, z):
         acc = cmath.exp(1j * self.rotation) + 0.0 * z
         for a in self.zeros:
@@ -223,8 +220,7 @@ class Blaschke(Symbol):
         # Product rule without dividing by possibly-vanishing factors:
         # B' = e^{i t} sum_j b_j' prod_{i != j} b_i, with
         # b_j'(z) = (1 - |a_j|^2) / (1 - conj(a_j) z)^2.
-        factors = self._factors(z)
-        n = len(factors)
+        factors = [(z - a) / (1.0 - np.conjugate(a) * z) for a in self.zeros]
         prefix = [1.0 + 0.0 * z]
         for f in factors[:-1]:
             prefix.append(prefix[-1] * f)
@@ -315,10 +311,6 @@ class Taylor(Symbol):
         self._reject_boundary_constant()
         self._validate_self_map()
 
-    @property
-    def abs_coeff_sum(self) -> float:
-        return float(sum(abs(c) for c in self.coeffs))
-
     def __call__(self, z):
         return _horner(self.coeffs, z)
 
@@ -375,12 +367,10 @@ class Orbit:
 
     start: complex
     points: np.ndarray
-    length: int = field(default=0)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=complex)
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "length", len(pts))
         if len(pts) and float(np.max(np.abs(pts))) > 1.0 + SELF_MAP_TOL:
             raise SymbolError("orbit leaves the closed disc")
 
@@ -486,8 +476,9 @@ _SYMBOL_FIELDS = {
 def parse_symbol(doc) -> Symbol:
     """Build a validated symbol from a JSON document (text or parsed dict).
 
-    Complex entries may be numbers or [re, im] pairs; serialize_symbol always
-    emits pairs, and parse(serialize(s)) reproduces s bit-exactly.
+    Complex entries may be numbers or [re, im] pairs; ``Symbol.to_dict``
+    always emits pairs, and parse_symbol(s.to_dict()) reproduces s
+    bit-exactly.
     """
     if isinstance(doc, (str, bytes)):
         try:
@@ -541,10 +532,6 @@ def parse_symbol(doc) -> Symbol:
         if isinstance(exc, SymbolParseError):
             raise
         raise SymbolParseError(str(exc), kind) from exc
-
-
-def serialize_symbol(s: Symbol) -> dict:
-    return s.to_dict()
 
 
 def symbol_to_json(s: Symbol) -> str:

@@ -21,7 +21,7 @@ import numpy as np
 
 ROOT_OF_UNITY_ORDER_BOUND = 10**4
 ROOT_OF_UNITY_TOL = 1e-12
-DEFAULT_TRUNCATION_K = 40
+EXPONENT_BUDGET = 10**15  # largest exponent lacunary_exponents may select
 RADIUS_CLAMP = 1.0 - 1e-8  # evaluation radii this close to 1 are clamped
 
 # Built-in rotation numbers, exactly representable at any working precision.
@@ -175,34 +175,35 @@ class LacunarySequence:
         }
 
 
-def lacunary_exponents(lam=None, R: float = 2.0, K: int = 12,
-                       n_max: int = 10**15, *, theta=None) -> LacunarySequence:
-    """Select exponents n_k <= n_max with |1 - lam^{n_k}| <= R^{-k}.
+def lacunary_exponents(lam=None, R: float = 2.0, K: int = 12, *,
+                       theta=None) -> LacunarySequence:
+    """Select exponents n_k <= EXPONENT_BUDGET with |1 - lam^{n_k}| <= R^{-k}.
 
     Works through the continued fraction of the rotation number: candidate
     exponents are the convergent denominators (the argmins of |1 - lam^n|),
     scanned greedily against the geometric thresholds.  Raises
-    BudgetExceededError when some level finds no denominator under n_max.
+    BudgetExceededError when some level finds no denominator under the
+    budget.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
     if R <= 1.0:
         raise ValueError("R must exceed 1")
-    # Working precision: enough digits for n*theta with n up to n_max and for
-    # thresholds down to R^-K.
-    dps = 40 + 2 * len(str(n_max)) + int(K * math.log10(R)) + 10
+    # Working precision: enough digits for n*theta with n up to the budget
+    # and for thresholds down to R^-K.
+    dps = 40 + 2 * len(str(EXPONENT_BUDGET)) + int(K * math.log10(R)) + 10
     with mp.workdps(dps):
         th = resolve_theta(theta=theta, lam=lam)
         _check_not_root_of_unity(th)
         lam_value = complex(mp.exp(2j * mp.pi * th))
-        dens = convergent_denominators(th, n_max)
+        dens = convergent_denominators(th, EXPONENT_BUDGET)
         chosen, errs = [], []
         prev = 0
         for k in range(1, K + 1):
             threshold = mp.mpf(R) ** (-k)
             pick = None
             for q in dens:
-                if q <= prev or q < k or q > n_max:
+                if q <= prev or q < k or q > EXPONENT_BUDGET:
                     continue
                 err = _distance_to_one(th, q)
                 if err <= threshold:
@@ -210,7 +211,7 @@ def lacunary_exponents(lam=None, R: float = 2.0, K: int = 12,
                     break
             if pick is None:
                 raise BudgetExceededError(
-                    f"no exponent <= {n_max} meets |1 - lam^n| <= R^-{k} "
+                    f"no exponent <= {EXPONENT_BUDGET} meets |1 - lam^n| <= R^-{k} "
                     f"= {float(threshold):.3e}"
                 )
             chosen.append(pick[0])
@@ -240,18 +241,6 @@ class Weight:
 
     def __call__(self, r):
         raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class StandardWeight(Weight):
-    """(1 - r)^gamma; plumbing for comparisons and demos."""
-
-    gamma: float = 1.0
-
-    def __call__(self, r):
-        r = np.minimum(np.asarray(r, dtype=float), RADIUS_CLAMP)
-        out = (1.0 - r) ** self.gamma
-        return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -368,14 +357,6 @@ class SparseSeries:
             prev = n
         object.__setattr__(self, "terms", cleaned)
 
-    @property
-    def exponents(self):
-        return tuple(n for n, _ in self.terms)
-
-    @property
-    def coefficients(self):
-        return tuple(c for _, c in self.terms)
-
     def abs_coeff_sum(self) -> float:
         return float(sum(abs(c) for _, c in self.terms))
 
@@ -449,8 +430,7 @@ class CounterexamplePair:
 
 
 def counterexample_pair(seq: LacunarySequence, K: int,
-                        weight: VAlpha | None = None,
-                        probe_radii=None) -> CounterexamplePair:
+                        weight: VAlpha | None = None) -> CounterexamplePair:
     """The pair f(z) = sum (1 - lam^{n_k}) z^{n_k} and g(z) = sum z^{n_k}.
 
     f solves f(z) = g(z) - g(lam z) coefficientwise, lies in the disc algebra
@@ -458,7 +438,7 @@ def counterexample_pair(seq: LacunarySequence, K: int,
     coefficient-square sum K: the obstruction to uniform mean ergodicity of
     the rotation operator.  With a weight supplied, the report also probes
     v(r) |g(r)| = C (sum r^{n_k})^{1 - alpha}, which grows as r -> 1, and
-    v(r) |f(r)|, which decays.
+    v(r) |f(r)|, which decays, at r = 1 - 10^-m for m = 1..5.
     """
     if not 1 <= K <= len(seq):
         raise ValueError("K must be within the sequence length")
@@ -486,11 +466,9 @@ def counterexample_pair(seq: LacunarySequence, K: int,
     if abs_sum > certified_bound + 1e-12:
         raise ArithmeticError("absolute coefficient sum exceeded the certified bound")
     if weight is not None:
-        if probe_radii is None:
-            probe_radii = [1.0 - 10.0 ** (-m) for m in range(1, 6)]
         probes = []
-        for r in probe_radii:
-            r = float(r)
+        for m in range(1, 6):
+            r = 1.0 - 10.0 ** (-m)
             v = float(weight(r))
             gval = abs(g(r))
             fval = abs(f(r))

@@ -127,12 +127,30 @@ def test_library_errors_exit_one(tmp_path, capsys, monkeypatch, exc):
     assert capsys.readouterr().err == f"error: {exc}\n"
 
 
-def test_threads_env_validation(tmp_path, monkeypatch):
-    sym = _write_gallery(tmp_path, "rot_i")
-    monkeypatch.setenv(cli.THREADS_ENV, "not-a-number")
-    assert cli.main(["classify", "--symbol", sym, "--out", str(tmp_path)]) == 1
-    monkeypatch.setenv(cli.THREADS_ENV, "4")
-    assert cli.main(["classify", "--symbol", sym, "--out", str(tmp_path)]) == 0
+@pytest.mark.parametrize("argv", [
+    ["classify", "--N", "5"],
+    ["verdict", "--format", "report"],
+    ["cesaro", "--tol", "1e-6"],
+    ["cesaro", "--N", "0"],
+    ["density", "--seeds", "0"],
+    ["weyl", "--jmax", "0"],
+    ["counterexample", "--K", "0"],
+    ["gallery", "--N", "-3"],
+    ["cesaro", "--z", "abc"],
+    ["density", "--z0", "1,2,3"],
+], ids=lambda argv: " ".join(argv))
+def test_bad_flags_are_usage_errors(tmp_path, capsys, argv):
+    # Each subcommand accepts only the flags it reads; budgets must be
+    # positive and seeds parse as complex numbers, all checked by argparse.
+    sym = _write_gallery(tmp_path, "zsq")
+    if argv[0] in ("classify", "verdict", "cesaro", "density", "weyl"):
+        argv = [argv[0], "--symbol", sym] + argv[1:]
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("usage: disc-ergodics") == 1
+    assert err.count("error: ") == 1 and err.endswith("\n")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_reports_reparse(tmp_path):

@@ -395,6 +395,34 @@ def test_image_circle_tangent():
     assert abs((1.0 - abs(circle.center)) - circle.radius) <= 1e-8
 
 
+def test_image_circle_small_radius_is_exact():
+    # the closed form gives |ad - bc| / (|d|^2 - |c|^2) = 1e-7 itself; a
+    # circle fitted through three image points was off by 8e-4 relative
+    circle = de.moebius_image_circle(de.Moebius(1e-7, 0.5, 0, 1))
+    assert not circle.is_unit_circle
+    assert circle.center == 0.5
+    assert circle.radius == pytest.approx(1e-7, rel=1e-15)
+
+
+def test_image_circle_unit_test_matches_boundary_oracle():
+    # Near-automorphisms phi = auto((1 - eps) z): the image is reported as the
+    # unit circle exactly when max ||phi| - 1| on the circle is <= 1e-10,
+    # judged on 4096 boundary points; cases within a factor 2 of the margin
+    # are skipped.
+    rng = np.random.default_rng(7)
+    pts = boundary_points(4096)
+    decided = {True: 0, False: 0}
+    for _ in range(400):
+        eps = 10.0 ** rng.uniform(-13.0, -8.0)
+        s = de.moebius_product(random_automorphism(rng), de.Moebius(1.0 - eps, 0, 0, 1))
+        deviation = float(np.max(np.abs(np.abs(s(pts)) - 1.0)))
+        if 0.5e-10 <= deviation <= 2e-10:
+            continue
+        assert de.moebius_image_circle(s).is_unit_circle == (deviation <= 1e-10), (s, deviation)
+        decided[deviation <= 1e-10] += 1
+    assert min(decided.values()) >= 100
+
+
 # ---------------------------------------------------------------------------
 # invariants
 

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -205,6 +206,19 @@ def test_gap_witness_all_boundary_symbols():
             assert w.rho < 1.0 or w.r < 1e-20  # rho rounds to 1.0 only when r underflows
 
 
+def test_symbols_evaluate_mpmath_values():
+    # boundary_gap_witness iterates each symbol's own evaluator on mpmath
+    # values; at 60 digits it must agree with the double evaluation
+    symbols = (TANGENT, de.Blaschke(0.7, [0.3 + 0.2j, -0.5j]),
+               de.Polynomial([0.1, 0.5j, 0.3]), de.Taylor([0.2, 0.3, -0.1j, 0.25]))
+    with mp.workdps(60):
+        for s in symbols:
+            for z in (0.3 + 0.4j, -0.8j, 1.0, -0.6 + 0.8j):
+                value = s(mp.mpc(z))
+                assert isinstance(value, mp.mpc), type(value).__name__
+                assert abs(complex(value) - complex(s(z))) <= 1e-15
+
+
 def test_gap_witness_rejects_interior_target():
     with pytest.raises(ValueError):
         de.boundary_gap_witness(TANGENT, 0.5, 3)
@@ -278,6 +292,18 @@ def test_verdict_weighted_rotation():
     # periodic rotations are uniformly mean ergodic for every typical weight
     v_per = _v(de.Moebius(1j, 0, 0, 1), "Hv")
     assert (v_per.mean_ergodic, v_per.uniformly_mean_ergodic) == ("yes", "yes")
+
+
+def test_verdict_small_tangent_image_circle():
+    # phi(z) = 1e-8 z + 1 - 1e-8 sends the circle to a circle of radius 1e-8
+    # tangent at 1; the closed-form image circle decides it without the
+    # degenerate three-point fit
+    v = de.verdict(de.Moebius(1e-8, 1 - 1e-8, 0, 1), "A")
+    assert (v.mean_ergodic, v.uniformly_mean_ergodic) == ("yes", "no")
+    assert v.theorem_tag == "Prop 3.9 + Thm 3.5"
+    evidence = dict(v.evidence)
+    assert evidence["image_is_unit_circle"] is False
+    assert evidence["tangency_gap"] <= 1e-15
 
 
 def test_verdict_generic_boundary_routes():

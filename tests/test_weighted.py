@@ -45,8 +45,11 @@ def test_sqrt2_selection():
 
 
 def test_budget_exceeded():
-    with pytest.raises(de.BudgetExceededError):
-        de.lacunary_exponents(theta="golden", R=2.0, K=12, n_max=10**4)
+    # the golden rotation has |1 - lam^q| ~ 2 pi / (sqrt(5) q) at its best
+    # exponents q, so |1 - lam^q| <= 1000^-k needs q ~ 2.8 * 1000^k: none
+    # for k = 5 under EXPONENT_BUDGET = 1e15
+    with pytest.raises(de.BudgetExceededError, match="no exponent <= 1000000000000000"):
+        de.lacunary_exponents(theta="golden", R=1000.0, K=12)
 
 
 def test_sequence_invariant_enforced():
