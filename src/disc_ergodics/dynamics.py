@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -22,7 +22,10 @@ from .symbols import (
     Polynomial,
     Symbol,
     Taylor,
+    _as_moebius,
     disc_grid,
+    orbit_blocks,
+    rotation_fraction,
 )
 
 # |angular derivative - 1| below TOL_PARABOLIC means parabolic; doubles give
@@ -30,7 +33,6 @@ from .symbols import (
 # values within BORDERLINE_BAND of 1 are flagged in classification notes.
 TOL_PARABOLIC = 1e-6
 BORDERLINE_BAND = 1e-4
-PERIOD_SEARCH_MAX = 10**4
 DW_MAX_ITER_DEFAULT = 10**6
 DW_TOL_DEFAULT = 1e-6
 BOUNDARY_PROXIMITY_TOL = 1e-6
@@ -57,21 +59,29 @@ class UnclassifiableError(RuntimeError):
 # ---------------------------------------------------------------------------
 # Classification records
 
-@dataclass(frozen=True)
-class Identity:
-    kind = "identity"
+class _Record:
+    """Classification record; ``to_dict`` gives complex fields as [re, im]."""
 
     def to_dict(self):
-        return {"kind": self.kind}
+        doc = {"kind": self.kind}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            doc[f.name] = [value.real, value.imag] if f.type == "complex" else value
+        return doc
 
 
 @dataclass(frozen=True)
-class EllipticAutomorphism:
+class Identity(_Record):
+    kind = "identity"
+
+
+@dataclass(frozen=True)
+class EllipticAutomorphism(_Record):
     """Automorphism with an interior fixed point; conjugate to a rotation.
 
     ``period`` is the least k with multiplier**k == 1 (within 1e-10), or None
-    when no k up to the search bound works ("aperiodic" -- a numerical, not
-    mathematical, statement).
+    when no k up to the search bound ``symbols.PERIOD_SEARCH_MAX`` works
+    ("aperiodic" -- a numerical, not mathematical, statement).
     """
 
     fixed_point: complex
@@ -84,58 +94,29 @@ class EllipticAutomorphism:
     def periodic(self) -> bool:
         return self.period is not None
 
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "fixed_point": [self.fixed_point.real, self.fixed_point.imag],
-            "multiplier": [self.multiplier.real, self.multiplier.imag],
-            "period": self.period,
-        }
-
 
 @dataclass(frozen=True)
-class InteriorDW:
+class InteriorDW(_Record):
     z0: complex
     multiplier_modulus: float
 
     kind = "interior_dw"
 
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "z0": [self.z0.real, self.z0.imag],
-            "multiplier_modulus": self.multiplier_modulus,
-        }
-
 
 @dataclass(frozen=True)
-class HyperbolicDW:
+class HyperbolicDW(_Record):
     z0: complex
     angular_derivative: float
 
     kind = "hyperbolic_dw"
 
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "z0": [self.z0.real, self.z0.imag],
-            "angular_derivative": self.angular_derivative,
-        }
-
 
 @dataclass(frozen=True)
-class ParabolicDW:
+class ParabolicDW(_Record):
     z0: complex
     angular_derivative: float
 
     kind = "parabolic_dw"
-
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "z0": [self.z0.real, self.z0.imag],
-            "angular_derivative": self.angular_derivative,
-        }
 
 
 SymbolClass = Identity | EllipticAutomorphism | InteriorDW | HyperbolicDW | ParabolicDW
@@ -279,32 +260,11 @@ def angular_derivative(s: Symbol, z0: complex) -> float:
 # ---------------------------------------------------------------------------
 # Classification
 
-def _as_moebius(s: Symbol) -> Moebius | None:
-    """Moebius form of the symbol when one exists (degree-one cases)."""
-    if isinstance(s, Moebius):
-        return s
-    if isinstance(s, Blaschke) and s.degree == 1:
-        rot = cmath.exp(1j * s.rotation)
-        a = s.zeros[0]
-        return Moebius(rot, -rot * a, -a.conjugate(), 1.0)
-    if isinstance(s, (Polynomial, Taylor)):
-        cs = list(s.coeffs)
-        while cs and abs(cs[-1]) == 0.0:
-            cs.pop()
-        if len(cs) == 2:
-            return Moebius(cs[1], cs[0], 0.0, 1.0)
-        if len(cs) == 1:
-            return None
-    return None
-
-
 def _rotation_period(multiplier: complex) -> int | None:
-    w = multiplier
-    for k in range(1, PERIOD_SEARCH_MAX + 1):
-        if abs(w - 1.0) <= 1e-10:
-            return k
-        w *= multiplier
-    return None
+    # the least k <= PERIOD_SEARCH_MAX with |multiplier^k - 1| <= 1e-10, if
+    # any: the denominator of the turns' nearest fraction or none
+    k = rotation_fraction(cmath.phase(multiplier) / (2.0 * math.pi)).denominator
+    return k if abs(multiplier ** k - 1.0) <= 1e-10 else None
 
 
 def _polish_fixed_point(s: Symbol, z: complex, steps: int = 120) -> complex:
@@ -442,11 +402,9 @@ def sup_distance_sequence(s: Symbol, z0: complex, n_max: int,
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    w = disc_grid(boundary_samples, radial_samples)
     out = np.empty(n_max)
-    for i in range(n_max):
-        w = s(w)
-        out[i] = float(np.max(np.abs(w - z0)))
+    for m0, block in orbit_blocks(s, disc_grid(boundary_samples, radial_samples), n_max):
+        out[m0:m0 + len(block)] = np.max(np.abs(block - z0), axis=1)
     return out
 
 

@@ -18,7 +18,7 @@ import mpmath as mp
 import numpy as np
 
 from . import dynamics
-from .symbols import Blaschke, Orbit, Symbol, _horner, boundary_points
+from .symbols import Blaschke, Orbit, Symbol, _horner, boundary_points, orbit_blocks
 from .weighted import VAlpha
 
 # Decision-rule tags carried by verdicts.  Stable identifiers: downstream
@@ -128,44 +128,44 @@ class CesaroTrace:
     orbit: np.ndarray = field(repr=False)
 
 
-def cesaro_apply(s: Symbol, f: TestFunction, z: complex, n: int) -> CesaroTrace:
-    """One orbit pass with the incremental mean update.
+def _divide(sums: np.ndarray, counts) -> np.ndarray:
+    # by parts: numpy's complex / integer is a complex division, which does
+    # not give (49+0j)/49 == 1
+    return sums.real / counts + 1j * (sums.imag / counts)
 
-    mean_{m+1} = mean_m + (f(phi^{m+1}(z)) - mean_m) / (m+1) avoids both the
-    O(N^2) resummation and cancellation at large N.  Power boundedness is
-    asserted on the way out: no partial mean may exceed the sup of |f|.
+
+def cesaro_apply(s: Symbol, f: TestFunction, z: complex, n: int) -> CesaroTrace:
+    """One orbit pass: the partial means are the running sums of f along the
+    orbit divided by the step count.
+
+    Power boundedness is asserted on the way out: no partial mean may exceed
+    the sup of |f|.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     z = complex(z)
     if abs(z) > 1.0 + 1e-9:
         raise ValueError("z must lie in the closed disc")
-    means = np.empty(n, dtype=complex)
-    orbit = np.empty(n, dtype=complex)
-    w = z
-    mean = 0.0 + 0.0j
-    for m in range(n):
-        w = complex(s(w))
-        orbit[m] = w
-        mean += (complex(f(w)) - mean) / (m + 1)
-        means[m] = mean
+    orbit = np.concatenate([block[:, 0] for _, block in orbit_blocks(s, [z], n)])
+    means = _divide(np.cumsum(np.asarray(f(orbit), dtype=complex)), np.arange(1, n + 1))
     sup = f.boundary_sup()
     if float(np.max(np.abs(means))) > sup + 1e-9:
         raise ArithmeticError(
             "a partial mean exceeded the sup of the test function; "
             "power boundedness violated (invalid symbol or function)"
         )
-    return CesaroTrace(z, n, means, mean, orbit)
+    return CesaroTrace(z, n, means, complex(means[-1]), orbit)
 
 
 def cesaro_final_means(s: Symbol, f: TestFunction, seeds, n: int) -> np.ndarray:
     """Final Cesaro mean at step n for an array of seeds, in one sweep."""
-    w = np.asarray(seeds, dtype=complex)
-    mean = np.zeros_like(w)
-    for m in range(n):
-        w = s(w)
-        mean += (f(w) - mean) / (m + 1)
-    return mean
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    seeds = np.asarray(seeds, dtype=complex)
+    total = np.zeros(seeds.size, dtype=complex)
+    for _, block in orbit_blocks(s, seeds, n):
+        total = total + np.sum(f(block), axis=0)
+    return _divide(total, n).reshape(seeds.shape)
 
 
 def cesaro_orbit_mean(s: Symbol, z, n: int):
@@ -246,6 +246,23 @@ class DensityEstimate:
     estimate: float
 
 
+def _visits(s: Symbol, seeds, z0: complex, radii, n: int):
+    """Visits of each seed's orbit to B(z0, r) for each radius r: the hit
+    counts and the running minimum of hits(m)/m over m >= n/2, each of shape
+    (len(radii), len(seeds))."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    radii = np.asarray(radii, dtype=float)[:, None, None]
+    hits, min_ratio = 0, np.inf
+    for m0, block in orbit_blocks(s, seeds, n):
+        m = np.arange(m0 + 1, m0 + len(block) + 1)
+        counts = np.cumsum(np.abs(block - z0) < radii, axis=1) + hits
+        hits = counts[:, -1:]
+        ratios = counts[:, m >= n // 2] / m[m >= n // 2, None]
+        min_ratio = np.minimum(min_ratio, ratios.min(axis=1, initial=np.inf))
+    return hits[:, 0], min_ratio
+
+
 def orbit_density(s: Symbol, z: complex, z0: complex, radius: float,
                   n: int) -> DensityEstimate:
     """Fraction of the first n orbit points of z that land in B(z0, radius).
@@ -256,45 +273,20 @@ def orbit_density(s: Symbol, z: complex, z0: complex, radius: float,
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    z, z0 = complex(z), complex(z0)
-    w = z
-    hits = 0
-    half = n // 2
-    min_ratio = math.inf
-    for m in range(1, n + 1):
-        w = complex(s(w))
-        if abs(w - z0) < radius:
-            hits += 1
-        if m >= half:
-            min_ratio = min(min_ratio, hits / m)
-    return DensityEstimate(z, radius, n, hits, min_ratio, hits / n)
+    z = complex(z)
+    hits, min_ratio = _visits(s, [z], complex(z0), [float(radius)], n)
+    return DensityEstimate(z, radius, n, int(hits[0, 0]), float(min_ratio[0, 0]),
+                           int(hits[0, 0]) / n)
 
 
 def density_sweep(s: Symbol, seeds, z0: complex, radii, n: int) -> list[DensityEstimate]:
-    """Vectorized orbit_density over many seeds and several radii at once."""
+    """orbit_density over many seeds and several radii at once."""
     seeds = np.asarray(seeds, dtype=complex)
     radii = [float(r) for r in radii]
-    z0 = complex(z0)
-    w = seeds.copy()
-    hits = np.zeros((len(radii), len(seeds)), dtype=np.int64)
-    min_ratio = np.full((len(radii), len(seeds)), np.inf)
-    half = n // 2
-    for m in range(1, n + 1):
-        w = s(w)
-        dist = np.abs(w - z0)
-        for i, r in enumerate(radii):
-            hits[i] += dist < r
-        if m >= half:
-            ratio = hits / m
-            np.minimum(min_ratio, ratio, out=min_ratio)
-    out = []
-    for i, r in enumerate(radii):
-        for k, seed in enumerate(seeds):
-            out.append(DensityEstimate(complex(seed), r, n, int(hits[i, k]),
-                                       float(min_ratio[i, k]), float(hits[i, k]) / n))
-    return out
+    hits, min_ratio = _visits(s, seeds, complex(z0), radii, n)
+    return [DensityEstimate(complex(seed), r, n, int(hits[i, k]), float(min_ratio[i, k]),
+                            float(hits[i, k]) / n)
+            for i, r in enumerate(radii) for k, seed in enumerate(seeds)]
 
 
 # ---------------------------------------------------------------------------
@@ -586,10 +578,7 @@ def _boundary_verdict(s: Symbol, space: str, cls, budgets: VerdictBudgets) -> Er
                          abs((1.0 - abs(circle.center)) - circle.radius)))
         return ErgodicityVerdict(space, YES, NO,
                                  f"{TAG_LFT} + {TAG_BOUNDARY_DW}", evidence)
-    if isinstance(s, Blaschke):
-        if s.degree == 1 and parabolic:
-            return ErgodicityVerdict(space, YES, NO,
-                                     f"{TAG_BLASCHKE} + {TAG_BOUNDARY_DW}", evidence)
+    if isinstance(s, Blaschke):  # of degree two or more: degree one has a Moebius form
         evidence.append(("blaschke_degree", s.degree))
         return ErgodicityVerdict(space, NO, NO,
                                  f"{TAG_BLASCHKE} + {TAG_BOUNDARY_DW}", evidence)

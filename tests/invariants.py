@@ -10,6 +10,7 @@ from __future__ import annotations
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 
 import disc_ergodics as de
@@ -28,11 +29,7 @@ def random_symbol(rng) -> de.Symbol:
     """Random validated self-map drawn from all four representations."""
     kind = rng.integers(0, 4)
     if kind == 0:
-        # automorphism composed with a contraction: always a self-map
-        auto = de.make_automorphism("elliptic", angle=rng.uniform(0, 2 * math.pi),
-                                    fixed_point=_random_interior(rng, 0.6))
-        scale = de.Moebius(rng.uniform(0.2, 0.95), 0.0, 0.0, 1.0)
-        return de.moebius_product(auto, scale)
+        return random_moebius_contraction(rng)
     if kind == 1:
         degree = int(rng.integers(1, 4))
         zeros = [_random_interior(rng, 0.7) for _ in range(degree)]
@@ -42,6 +39,14 @@ def random_symbol(rng) -> de.Symbol:
     if kind == 2:
         return de.Polynomial(list(coeffs))
     return de.Taylor(list(coeffs))
+
+
+def random_moebius_contraction(rng) -> de.Moebius:
+    """An elliptic automorphism composed with a contraction: always a self-map."""
+    auto = de.make_automorphism("elliptic", angle=rng.uniform(0, 2 * math.pi),
+                                fixed_point=_random_interior(rng, 0.6))
+    scale = de.Moebius(rng.uniform(0.2, 0.95), 0.0, 0.0, 1.0)
+    return de.moebius_product(auto, scale)
 
 
 def random_automorphism(rng) -> de.Moebius:
@@ -198,6 +203,90 @@ def check_boundary_periodic_points(cases: int = 100) -> int:
     return done
 
 
+def _rotated_parabolic(rng) -> de.Moebius:
+    # the Cayley conjugate of w -> w + t, rotated to fix u = e^{i beta}
+    t = rng.uniform(0.3, 3.0) * (1.0 if rng.uniform() < 0.5 else -1.0)
+    u = cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+    return de.Moebius(2j - t, t * u, -t * u.conjugate(), t + 2j)
+
+
+def random_linear_fractional(rng) -> tuple[de.Symbol, tuple]:
+    """A linear-fractional symbol and its coefficients (a, b, c, d) as a
+    Moebius map, read off its own definition.
+
+    Automorphisms, Moebius contractions, degree-one Blaschke products,
+    affine polynomials, rotated parabolic automorphisms, and nearly
+    parabolic maps parabolic o (1 - eps) z, eps log-uniform in
+    [1e-10, 1e-4], whose two fixed points nearly coalesce.
+    """
+    pick = rng.integers(0, 6)
+    if pick == 2:
+        rot, a = rng.uniform(0, 2 * math.pi), _random_interior(rng, 0.9)
+        e = cmath.exp(1j * rot)
+        return de.Blaschke(rot, [a]), (e, -e * a, -a.conjugate(), 1.0)
+    if pick == 3:
+        a = rng.uniform(0.05, 0.95) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+        b = (1.0 - abs(a)) * rng.uniform(0.3, 1.0) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+        return de.Polynomial([b, a]), (a, b, 0.0, 1.0)
+    if pick == 0:
+        m = random_automorphism(rng)
+    elif pick == 1:
+        m = random_moebius_contraction(rng)
+    elif pick == 4:
+        m = _rotated_parabolic(rng)
+    else:
+        eps = 10.0 ** rng.uniform(-10.0, -4.0)
+        m = de.moebius_product(_rotated_parabolic(rng), de.Moebius(1.0 - eps, 0.0, 0.0, 1.0))
+    return m, (m.a, m.b, m.c, m.d)
+
+
+def _exact_fixed_points(a, b, c, d) -> list[complex]:
+    """Fixed points of (az + b)/(cz + d) at 50 digits, rounded to doubles."""
+    with mp.workdps(50):
+        a, b, c, d = (mp.mpc(v) for v in (a, b, c, d))
+        if c == 0:
+            return [complex(b / (d - a))]
+        root = mp.sqrt((d - a) ** 2 + 4 * b * c)
+        return [complex((a - d + root) / (2 * c)), complex((a - d - root) / (2 * c))]
+
+
+def check_orbit_closed_form(cases: int = 100) -> int:
+    """Closed-form orbits of linear-fractional symbols agree with stepping
+    phi within 1e-12 + n 1e-15 at n = 1, 7, 10^3 and 2 10^4, and seeds that
+    sit on a fixed point come back bit for bit.
+
+    ``orbit_blocks`` runs the first 7 steps against the symbol's own
+    evaluator; at n = 10^3 and 2 10^4 the closed form is taken directly and
+    the reference steps the Moebius coefficients of all cases together, in
+    one array.
+    """
+    rng = np.random.default_rng(SEED + 6)
+    coeffs, seeds, closed = [], [], []
+    for _ in range(cases):
+        s, abcd = random_linear_fractional(rng)
+        z = np.array([_random_interior(rng) for _ in range(6)]
+                     + [cmath.exp(1j * rng.uniform(0, 2 * math.pi)) for _ in range(2)])
+        w = z
+        for m0, block in de.symbols.orbit_blocks(s, z, 7):
+            for n, row in enumerate(block, start=m0 + 1):
+                w = s(w)
+                assert np.all(np.abs(row - w) <= 1e-12 + n * 1e-15), (s, n)
+        fixed = np.array(_exact_fixed_points(*abcd))
+        for _, block in de.symbols.orbit_blocks(s, fixed, 50):
+            assert np.array_equal(block, np.broadcast_to(fixed, block.shape)), (s, fixed)
+        closed.append(de.symbols._closed_form(s).iterates(z, np.array([10**3, 2 * 10**4])))
+        coeffs.append(np.broadcast_to(np.array(abcd, dtype=complex)[:, None], (4, len(z))))
+        seeds.append(z)
+    a, b, c, d = np.concatenate(coeffs, axis=1)
+    w = np.concatenate(seeds)
+    got = np.concatenate(closed, axis=1)
+    for n in range(1, 2 * 10**4 + 1):
+        w = (a * w + b) / (c * w + d)
+        if n in (10**3, 2 * 10**4):
+            assert np.all(np.abs(got[int(n > 10**3)] - w) <= 1e-12 + n * 1e-15), n
+    return cases
+
+
 ALL_CHECKS = {
     "derivative_vs_finite_difference": check_derivative_finite_difference,
     "schwarz_monotonicity": check_schwarz_monotonicity,
@@ -205,4 +294,5 @@ ALL_CHECKS = {
     "cesaro_power_boundedness": check_cesaro_power_boundedness,
     "weight_monotonicity": check_weight_monotonicity,
     "boundary_periodic_points": check_boundary_periodic_points,
+    "orbit_closed_form": check_orbit_closed_form,
 }

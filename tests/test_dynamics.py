@@ -124,6 +124,22 @@ def test_classify_rotation_period_four():
     assert cls.fixed_point == 0 and cls.multiplier == 1j and cls.period == 4
 
 
+def test_rotation_period_is_the_least_power_near_one():
+    # read off the nearest fraction; the reference steps the powers
+    rng = np.random.default_rng(11)
+    turns = [a / k for k, a in ((1, 0), (2, 1), (7, 3), (360, 7), (9973, 5000))]
+    turns += list(rng.uniform(0, 1, 5)) + [0.25 + 1e-12, 0.25 + 2e-11, 0.25 + 1e-9, -3 / 8]
+    for t in turns:
+        lam = cmath.exp(2j * math.pi * t)
+        w, least = lam, None
+        for k in range(1, 10**4 + 1):
+            if abs(w - 1.0) <= 1e-10:
+                least = k
+                break
+            w *= lam
+        assert dynamics._rotation_period(lam) == least, t
+
+
 def test_classify_blend_interior_with_boundary_fixed_point():
     cls = de.classify(BLEND)
     assert isinstance(cls, de.InteriorDW)

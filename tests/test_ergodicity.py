@@ -54,6 +54,24 @@ def test_cesaro_final_means_matches_scalar():
         assert abs(scalar - value) <= 1e-12
 
 
+def test_cesaro_final_means_keeps_the_seeds_shape():
+    seeds = np.array([[0.3, -0.4j], [0.2 + 0.1j, 0.9]])
+    means = de.cesaro_final_means(HYPERBOLIC, de.Monomial(1), seeds, 50)
+    assert means.shape == (2, 2)
+    flat = de.cesaro_final_means(HYPERBOLIC, de.Monomial(1), seeds.ravel(), 50)
+    assert np.array_equal(means.ravel(), flat)
+    assert de.cesaro_final_means(HYPERBOLIC, de.Monomial(1), np.array(0.3), 50).shape == ()
+
+
+def test_empty_orbits_are_rejected():
+    with pytest.raises(ValueError):
+        de.cesaro_final_means(HALF, de.Monomial(1), np.array([0.5]), 0)
+    with pytest.raises(ValueError):
+        de.density_sweep(HALF, np.array([0.5]), 0.0, [0.1], 0)
+    with pytest.raises(ValueError):
+        de.orbit_density(HALF, 0.5, 0.0, 0.1, 0)
+
+
 # ---------------------------------------------------------------------------
 # orbit means
 
@@ -136,6 +154,7 @@ def test_density_tangent_orbit_enters_and_stays():
     d = de.orbit_density(TANGENT, 0.0, 1.0, 0.1, 1000)
     assert d.estimate >= 0.99
     assert d.hits == 1000 - 3  # enters at step 4: 2^-m < 0.1
+    assert d.running_min_ratio == (500 - 3) / 500  # taken over m >= n/2 only
 
 
 def test_density_repelling_seed_never_visits():

@@ -2,11 +2,18 @@ import cmath
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 import disc_ergodics as de
-from invariants import check_derivative_finite_difference, check_schwarz_monotonicity
+from disc_ergodics import symbols
+from disc_ergodics.symbols import _as_moebius, _closed_form, orbit_blocks
+from invariants import (
+    check_derivative_finite_difference,
+    check_orbit_closed_form,
+    check_schwarz_monotonicity,
+)
 
 
 HALF = de.Moebius(1, 0, 0, 2)                      # z/2
@@ -129,6 +136,85 @@ def test_iterate_semigroup_property():
             mid = de.iterate(s, z, m).points[-1]
             rest = de.iterate(s, complex(mid), n).points[-1]
             assert abs(full - rest) <= 1e-10
+
+
+def test_orbit_blocks_do_not_depend_on_the_block_size(monkeypatch):
+    # blocks of 2, 8 and 13107 rows
+    seeds = np.array([0.3, -0.4j, 0.2 + 0.1j, 0.9, -0.7 + 0.2j])
+    for s in (HYPERBOLIC, TANGENT, de.gallery_symbol("parab"), ZSQ,
+              de.Polynomial([0.1, 0.5, 0.3])):
+        runs = []
+        for points in (10, 40, 2**16):
+            monkeypatch.setattr(symbols, "BLOCK_POINTS", points)
+            runs.append(np.concatenate([block for _, block in orbit_blocks(s, seeds, 300)]))
+        assert runs[0].shape == (300, 5)
+        assert all(np.array_equal(runs[0], other) for other in runs[1:]), s
+
+
+def test_orbit_blocks_one_seed_steps_like_an_array():
+    # a single seed is stepped in Python complex arithmetic, an array with
+    # numpy: the same orbit up to roundoff
+    s = de.Blaschke(0.4, [0.2 + 0.1j, -0.5])
+    one = np.concatenate([b[:, 0] for _, b in orbit_blocks(s, [0.3 + 0.2j], 500)])
+    many = np.concatenate([b[:, 1] for _, b in orbit_blocks(s, [0.1, 0.3 + 0.2j], 500)])
+    assert np.max(np.abs(one - many)) <= 1e-13
+
+
+def test_orbit_closed_form_invariants():
+    assert check_orbit_closed_form(100) >= 100
+
+
+def test_closed_form_long_orbits_do_not_drift():
+    circle = np.exp(2j * np.pi * np.arange(16) / 16)
+    rot = de.gallery_symbol("rot_golden")
+    rows = _closed_form(rot).iterates(circle, np.arange(10**9 + 1, 10**9 + 65))
+    assert np.max(np.abs(np.abs(rows) - 1.0)) <= 1e-12
+    # m turns are kept to double-double precision: after 10^7 steps the
+    # phase still matches the exact power of the double multiplier
+    m = 10**7 + 3
+    with mp.workdps(50):
+        exact = complex(mp.mpc(rot.a) ** m)
+    got = _closed_form(rot).iterates(np.array([1.0]), np.array([m]))[0, 0]
+    assert abs(cmath.phase(got / exact)) <= 1e-14
+    for p, q in ((1, 2), (1, 3), (2, 5), (5, 6), (3, 7), (3, 8)):
+        rot = de.Moebius(cmath.exp(2j * math.pi * p / q), 0, 0, 1)
+        rows = _closed_form(rot).iterates(circle, np.array([q * 10**8, q * 10**8 + 1]))
+        assert np.max(np.abs(rows[0] - circle)) <= 1e-12, (p, q)
+        assert np.max(np.abs(rows[1] - rot(circle))) <= 1e-12, (p, q)
+
+
+def test_closed_form_elliptic_orbits_drift_only_with_the_multiplier():
+    # About a fixed point p != 0 the double coefficients are an automorphism
+    # only up to rounding: |kappa| may differ from 1 by about 1e-16, and the
+    # closed form, like stepping, then moves the seeds off their invariant
+    # circle by m |log |kappa||, and by nothing more.
+    seeds = np.concatenate([0.5 * np.exp(2j * np.pi * np.arange(16) / 16),
+                            np.exp(2j * np.pi * np.arange(16) / 16)])
+    m = np.arange(10**9 + 1, 10**9 + 65)
+    shapes = [de.make_automorphism("elliptic", angle=t, fixed_point=p)
+              for p in (0.3 + 0.4j, -0.5j, 0.6 - 0.2j, 0.85j) for t in (1.0, 2.5, 3.9)]
+    shapes += [de.Blaschke(2.0, [0.3]), de.Blaschke(-2.5, [0.2 + 0.6j])]
+    for s in shapes:
+        form = _closed_form(s)
+        p = form.p
+        assert abs(p) < 1.0 and abs(complex(s(p)) - p) <= 1e-13, s
+        assert abs(form.log_r) <= 1e-14, s
+        radius = np.abs(seeds - p) / np.abs(1.0 - np.conj(p) * seeds)
+        w = form.iterates(seeds, m)
+        moved = np.abs(np.abs(w - p) / np.abs(1.0 - np.conj(p) * w) - radius)
+        assert np.max(moved) <= 1e-12 + m[-1] * abs(form.log_r), s
+
+
+def test_moebius_form_is_built_once_without_validation(monkeypatch):
+    shapes = (de.Blaschke(0.3, [0.2 - 0.1j]), de.Polynomial([0.1, 0.5j, 0.0]),
+              de.Taylor([0.2, -0.3]))
+    monkeypatch.setattr(de.Moebius, "_validate_self_map", lambda self: 1 / 0)
+    for s in shapes:
+        form = _as_moebius(s)
+        assert isinstance(form, de.Moebius) and _as_moebius(s) is form
+        for z in (0.3, -0.5 + 0.2j, 1j):
+            assert abs(complex(form(z)) - complex(s(z))) <= 1e-15
+    assert _as_moebius(de.Polynomial([0.1, 0.5, 0.2])) is None
 
 
 # ---------------------------------------------------------------------------
