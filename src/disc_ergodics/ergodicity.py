@@ -322,9 +322,25 @@ def weyl_test(orbit: Orbit, j_max: int, require_boundary: bool = True) -> WeylRe
 # ---------------------------------------------------------------------------
 # Boundary witness gap
 
+# |phi(zeta)/zeta - 1| at or below this is the rounding of the coefficients
+# (1.4e-17 for polynomials whose double coefficients sum to 1): zeta is then
+# taken as a fixed point of phi.
+FIXED_POINT_SNAP_TOL = 1e-14
+# Rounding margin per orbit step taken off the witness bound.
+GAP_ROUNDING_PER_STEP = 2.0**-50
+
+
 @dataclass(frozen=True)
 class GapWitness:
-    k: int
+    """The witness g = ((z + zeta)/2)^k, k = 2**k_log2, and the certified
+    lower bound ``gap`` on |g(zeta) - (1/n) sum_m g(phi^m(0))|.
+
+    r is half the orbit's distance to zeta and rho = sqrt(1 - r^2/4).  As
+    doubles, rho rounds to 1 once r is below about 2e-8, and r to 0 below
+    about 5e-324; k_log2 keeps the scale.
+    """
+
+    k_log2: int
     gap: float
     r: float
     rho: float
@@ -332,68 +348,84 @@ class GapWitness:
 
 def boundary_gap_witness(s: Symbol, z0: complex, n: int) -> GapWitness:
     """Uniform lower gap 1/2 for the Cesaro means at a boundary attracting
-    point, witnessed by g(z) = (z + z0)/2 raised to a suitable power.
+    point, witnessed by g(z) = (z + zeta)/2 raised to a power of two.
 
-    The orbit of 0 avoids B(z0, r) with r half its minimal distance to z0, so
-    |g|^k <= rho^k <= 1/2 off that ball once k = ceil(log(1/2)/log rho),
-    where rho = sqrt(1 - r^2/4) is the exact maximum of |g| there.  The gap
-    |g(z0)^k - (1/n) sum g(phi^m(0))^k| is then at least 1/2.
+    With zeta = z0/|z0| and r half the least distance from 0, phi(0), ...,
+    phi^n(0) to zeta, k = 2**k_log2 is the least power of two with
+    k r^2/8 >= log 2, so rho^k <= 1/2 for rho = sqrt(1 - r^2/4), the maximum
+    of |(z + zeta)/2| on the closed disc off B(zeta, r).  Since |g(zeta)| = 1,
+    the triangle inequality gives gap >= 1 - (1/n) sum_{m=1..n}
+    |g(phi^m(0))|^k, which is at least 1/2; ``gap`` is this bound less a
+    rounding margin of n * 2**-50.
 
-    Orbits hug z0 at geometric speed, so the minimal distance underflows
-    doubles already at moderate n; the orbit therefore runs in high-precision
-    arithmetic and the required power k -- an exact integer that may be
-    astronomically large -- is applied in the log domain.  The orbit uses
-    the symbol's own evaluator on mpmath values, so constants enter as the
-    doubles the double-precision code iterates; a Blaschke product's
-    rotation factor is the double-rounded e^{i rotation}.
+    The orbit runs in doubles, centred on zeta: u_m = phi^m(0)/zeta - 1 obeys
+    u <- psi0 + u * chi(u), with psi0 = phi(zeta)/zeta - 1 computed once at 40
+    digits (the symbol's evaluator on mpmath values) and chi(u) the divided
+    difference of phi between zeta and zeta(1 + u).  u is kept as a
+    mantissa and a binary exponent, so orbits that close in on zeta at a
+    geometric rate never underflow.  Each term |g|^k = (1 + y)^(k/2), with
+    y = |1 + u/2|^2 - 1 formed from the mantissa, is rounded up to
+    e^(k y/2), whose exponent is an exact power-of-two scaling.
+
+    The margin covers the rounding of the steps (a relative error of a few
+    units of 2**-53 in u per step, which adds up while the steps contract
+    toward zeta, as they do at an attracting zeta) and of the sum: a term
+    e^(-x) whose exponent is off by a relative d moves by at most d/e.
+
+    Snap rule: when |psi0| <= FIXED_POINT_SNAP_TOL, zeta is taken as fixed
+    (psi0 := 0), as for double coefficients that miss a boundary fixed point
+    by their rounding.  Raises ArithmeticError when an orbit point leaves
+    the closed disc (the bound would not hold), and when the orbit reaches
+    zeta exactly (no avoidance radius exists).
     """
     z0 = complex(z0)
     if abs(abs(z0) - 1.0) > 1e-8:
         raise ValueError("z0 must lie on the unit circle")
     if n < 1:
         raise ValueError("n must be >= 1")
-    # Precision grows with n: geometric-rate orbits need about n*log10(1/rate)
-    # digits to keep their distance to z0 representable.
-    dps = 60 + 3 * n
-    with mp.workdps(min(dps, 6000)):
-        z0m = mp.mpc(z0)
-        w = mp.mpc(0)
-        orbit_pts = []
-        for _ in range(n):
-            w = s(w)
-            orbit_pts.append(w)
-        dists = [abs(p - z0m) for p in orbit_pts] + [abs(z0m)]
-        dmin = min(dists)
-        if dmin == 0:
+    zeta = z0 / abs(z0)
+    with mp.workdps(40):
+        zeta_mp = mp.mpc(zeta)
+        psi0 = complex(s(zeta_mp) / zeta_mp - 1)
+    if abs(psi0) <= FIXED_POINT_SNAP_TOL:
+        psi0 = 0j
+    chi = s._divided_difference(zeta)
+    # u = mant * 2**exp with |mant| in [1/2, 1); the seed 0 is u = -1
+    mant, exp = -0.5 + 0j, 1
+    nearest = (exp, abs(mant))
+    ys, y_exps = [], []  # y_m = ys[m] * 2**y_exps[m]
+    for step in range(1, n + 1):
+        u = mant * math.ldexp(1.0, exp)
+        slope = chi(zeta + zeta * u)
+        if psi0:
+            mant, exp = psi0 + u * slope, 0
+        else:
+            mant *= slope
+        size, shift = math.frexp(abs(mant))
+        if size == 0.0:
             raise ArithmeticError(
                 f"orbit of 0 reaches z0 exactly within {n} steps; "
                 "no avoidance radius exists at this n"
             )
-        r = dmin / 2
-        # max of |(z + z0)/2| over the closed disc minus B(z0, r) is attained
-        # where the circle |z - z0| = r meets the unit circle:
-        # rho = sqrt(1 - r^2/4) < 1.
-        log_rho = mp.log1p(-r * r / 4) / 2
-        k = int(mp.ceil(mp.log(mp.mpf("0.5")) / log_rho))
-        total = mp.mpc(0)
-        for p in orbit_pts:
-            g = (p + z0m) / 2
-            mag = abs(g)
-            if mag == 0:
-                continue
-            log_mag = k * mp.log(mag)
-            if log_mag < -745 * mp.log(10):
-                continue  # underflows even the working precision of the sum
-            total += mp.exp(log_mag + 1j * k * mp.arg(g))
-        mean = total / n
-        gap = abs(_unit_power(z0m, k) - mean)
-        return GapWitness(k, float(gap), float(r), float(mp.e ** log_rho))
-
-
-def _unit_power(z0m, k: int):
-    """z0^k for unimodular z0 and a possibly huge integer k, via the argument."""
-    theta = mp.arg(z0m)
-    return mp.exp(1j * mp.fmod(theta * k, 2 * mp.pi))
+        mant = complex(math.ldexp(mant.real, -shift), math.ldexp(mant.imag, -shift))
+        exp += shift
+        nearest = min(nearest, (exp, size))
+        # |phi^m(0)|^2 - 1 = 2**exp (2 Re mant + |mant|^2 2**exp), and
+        # y = |1 + u/2|^2 - 1 = 2**exp (Re mant + |mant|^2 2**exp / 4)
+        sq = (mant.real * mant.real + mant.imag * mant.imag) * math.ldexp(1.0, exp)
+        if not 2.0 * mant.real + sq <= 0.0:  # also when not a number
+            raise ArithmeticError(f"orbit of 0 leaves the closed disc at step {step}")
+        ys.append(mant.real + 0.25 * sq)
+        y_exps.append(exp)
+    exp_r, size_r = nearest[0] - 1, nearest[1]  # r = size_r * 2**exp_r
+    r = math.ldexp(size_r, exp_r)
+    k_log2 = max(0, math.ceil(math.log2(8.0 * math.log(2.0))
+                              - 2.0 * (math.log2(size_r) + exp_r)))
+    with np.errstate(over="ignore"):
+        exponents = np.ldexp(np.maximum(np.negative(ys), 0.0), np.array(y_exps) + k_log2 - 1)
+    mean = math.fsum(np.exp(-exponents)) / n
+    return GapWitness(k_log2, 1.0 - mean - n * GAP_ROUNDING_PER_STEP, r,
+                      math.sqrt(1.0 - r * r / 4))
 
 
 # ---------------------------------------------------------------------------

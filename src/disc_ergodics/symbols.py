@@ -10,6 +10,7 @@ differentiation and iteration accept plain complex scalars or numpy arrays.
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -52,11 +53,13 @@ def boundary_points(n: int) -> np.ndarray:
     return np.exp(1j * t)
 
 
+@functools.lru_cache(maxsize=8)
 def disc_grid(boundary_samples: int = 512, radial_samples: int = 64) -> np.ndarray:
     """Deterministic sampling of the closed disc, boundary-dominant.
 
     Rings at radius one, at zero, and at Chebyshev-spaced radii accumulating
-    toward the boundary, where extremes of |phi^n| concentrate.
+    toward the boundary, where extremes of |phi^n| concentrate.  Built once
+    per size and shared, so the array is read-only.
     """
     if boundary_samples < 16:
         raise ValueError("boundary_samples must be >= 16")
@@ -64,7 +67,9 @@ def disc_grid(boundary_samples: int = 512, radial_samples: int = 64) -> np.ndarr
     cheb = np.cos(np.pi * (2.0 * np.arange(radial_samples) + 1.0) / (4.0 * radial_samples))
     radii = np.concatenate(([1.0], cheb))
     grid = (radii[:, None] * angles[None, :]).ravel()
-    return np.concatenate((grid, [0.0 + 0.0j]))
+    grid = np.concatenate((grid, [0.0 + 0.0j]))
+    grid.flags.writeable = False
+    return grid
 
 
 def _horner(coeffs, z):
@@ -75,6 +80,16 @@ def _horner(coeffs, z):
     for c in reversed(coeffs[:-1]):
         acc = acc * z + c
     return acc
+
+
+def _synthetic_division(coeffs, zeta):
+    """Coefficients of (p(z) - p(zeta)) / (z - zeta), ascending."""
+    quotient = [0j] * (len(coeffs) - 1)
+    acc = 0j
+    for j in range(len(coeffs) - 1, 0, -1):
+        acc = acc * zeta + coeffs[j]
+        quotient[j - 1] = acc
+    return quotient
 
 
 def _horner_derivative(coeffs, z):
@@ -93,6 +108,11 @@ class Symbol:
         raise NotImplementedError
 
     def derivative(self, z):
+        raise NotImplementedError
+
+    def _divided_difference(self, zeta: complex):
+        """z -> (phi(z) - phi(zeta)) / (z - zeta), which is phi'(zeta) at
+        z = zeta; scalar doubles only."""
         raise NotImplementedError
 
     def to_dict(self) -> dict:
@@ -166,6 +186,10 @@ class Moebius(Symbol):
     def derivative(self, z):
         den = self.c * z + self.d
         return self.det / (den * den)
+
+    def _divided_difference(self, zeta):
+        scale = self.det / (self.c * zeta + self.d)
+        return lambda z: scale / (self.c * z + self.d)
 
     def to_dict(self) -> dict:
         return {
@@ -244,6 +268,26 @@ class Blaschke(Symbol):
             total = total + dj * prefix[j] * suffix[j]
         return cmath.exp(1j * self.rotation) * total
 
+    def _divided_difference(self, zeta):
+        # Product rule for divided differences: B[zeta, z] =
+        # e^{i t} sum_j prod_{i<j} b_i(z) * b_j[zeta, z] * prod_{i>j} b_i(zeta),
+        # b_j[zeta, z] = (1 - |a_j|^2) / ((1 - conj(a_j) zeta)(1 - conj(a_j) z)).
+        weights, tail = [], cmath.exp(1j * self.rotation)
+        for a in reversed(self.zeros):
+            den = 1.0 - a.conjugate() * zeta
+            weights.append(tail * (1.0 - abs(a) ** 2) / den)
+            tail *= (zeta - a) / den
+        weights.reverse()
+
+        def divided(z):
+            total, head = 0j, 1.0
+            for a, weight in zip(self.zeros, weights):
+                den = 1.0 - a.conjugate() * z
+                total += head * weight / den
+                head *= (z - a) / den
+            return total
+        return divided
+
     def to_dict(self) -> dict:
         return {
             "kind": "blaschke",
@@ -277,6 +321,10 @@ class Polynomial(Symbol):
 
     def derivative(self, z):
         return _horner_derivative(self.coeffs, z)
+
+    def _divided_difference(self, zeta):
+        quotient = _synthetic_division(self.coeffs, zeta)
+        return lambda z: _horner(quotient, z)
 
     def to_dict(self) -> dict:
         return {"kind": "polynomial", "coeffs": [_complex_out(c) for c in self.coeffs]}
@@ -325,6 +373,10 @@ class Taylor(Symbol):
 
     def derivative(self, z):
         return _horner_derivative(self.coeffs, z)
+
+    def _divided_difference(self, zeta):
+        quotient = _synthetic_division(self.coeffs, zeta)
+        return lambda z: _horner(quotient, z)
 
     def to_dict(self) -> dict:
         doc = {

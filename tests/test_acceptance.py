@@ -91,12 +91,12 @@ def test_criterion_05_boundary_gap_witness():
     smallest = math.inf
     for name in de.BOUNDARY_DW_NAMES:
         s = de.gallery_symbol(name)
-        for n in (3, 10, 100):
+        for n in (3, 10, 100, 1000):
             w = de.boundary_gap_witness(s, 1.0, n)
             assert w.gap >= 0.5 - 1e-9, (name, n, w.gap)
             smallest = min(smallest, w.gap)
     _report(5, "boundary attractor never uniformly mean ergodic",
-            time.perf_counter() - t0, 1.0, f"smallest gap {smallest:.6f}")
+            time.perf_counter() - t0, 0.25, f"smallest gap {smallest:.6f}")
 
 
 def test_criterion_06_parabolic_vs_hyperbolic_density():

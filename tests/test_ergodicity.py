@@ -225,9 +225,73 @@ def test_gap_witness_all_boundary_symbols():
             assert w.rho < 1.0 or w.r < 1e-20  # rho rounds to 1.0 only when r underflows
 
 
+def _reference_witness(s, z0, n, k):
+    """r and |z0^k - (1/n) sum g(phi^m(0))^k| for g = (z + z0)/2, with the
+    orbit at 60 + 3n digits in mpmath: the former implementation of
+    boundary_gap_witness, with k given."""
+    with mp.workdps(60 + 3 * n):
+        z0m = mp.mpc(z0)
+        w = mp.mpc(0)
+        orbit_pts = []
+        for _ in range(n):
+            w = s(w)
+            orbit_pts.append(w)
+        dmin = min([abs(p - z0m) for p in orbit_pts] + [abs(z0m)])
+        total = mp.mpc(0)
+        for p in orbit_pts:
+            g = (p + z0m) / 2
+            mag = abs(g)
+            if mag == 0:
+                continue
+            log_mag = k * mp.log(mag)
+            if log_mag < -745 * mp.log(10):
+                continue
+            total += mp.exp(log_mag + 1j * k * mp.arg(g))
+        z0k = mp.exp(1j * mp.fmod(mp.arg(z0m) * k, 2 * mp.pi))
+        return float(dmin / 2), float(abs(z0k - total / n))
+
+
+@pytest.mark.parametrize("s", [
+    de.gallery_symbol("hyperbolic"), de.gallery_symbol("parab"), de.gallery_symbol("tangent"),
+    de.Blaschke(0, [-0.5, -0.5]),      # Denjoy-Wolff point 1, phi'(1) = 2/3
+    de.Taylor([0.25, 0.625, 0.125]),   # Denjoy-Wolff point 1, phi'(1) = 0.875
+], ids=["hyperbolic", "parab", "tangent", "blaschke", "taylor"])
+def test_gap_witness_matches_high_precision_reference(s):
+    for n in (3, 10, 100):
+        w = de.boundary_gap_witness(s, 1.0, n)
+        r, gap = _reference_witness(s, 1.0, n, 2**w.k_log2)
+        assert w.r == pytest.approx(r, rel=1e-12, abs=0.0), (n, w, r)
+        assert 0.5 <= w.gap <= gap + 1e-12, (n, w, gap)
+
+
+def test_gap_witness_snaps_a_fixed_point_missed_by_rounding():
+    # the coefficients sum to 1 + 1.4e-17: the fixed point near 1 lies just
+    # outside the disc, and the orbit of 0 approaches it
+    s = de.Polynomial([0.38709096345752936, 0.4978626669098771, 0.11504636963259353])
+    for n in (200, 300):
+        w = de.boundary_gap_witness(s, 1.0, n)
+        assert math.isfinite(w.gap) and 0.5 <= w.gap <= 1.0, (n, w)
+
+
+def test_gap_witness_raises_when_the_orbit_leaves_the_disc():
+    # phi(1) = 1 + 1e-10 passes the 1e-9 self-map check, but its fixed point
+    # 1 + 1e-9 attracts the orbit of 0 out of the closed disc
+    s = de.Polynomial([0.3 + 1e-10, 0.5, 0.2])
+    with pytest.raises(ArithmeticError, match="leaves the closed disc"):
+        de.boundary_gap_witness(s, 1.0, 300)
+
+
+def test_gap_witness_prints_at_ten_thousand_steps():
+    for name in de.BOUNDARY_DW_NAMES:
+        w = de.boundary_gap_witness(de.gallery_symbol(name), 1.0, 10**4)
+        assert math.isfinite(w.gap) and w.gap >= 0.5, (name, w)
+        assert f"k_log2={w.k_log2}" in repr(w)
+
+
 def test_symbols_evaluate_mpmath_values():
-    # boundary_gap_witness iterates each symbol's own evaluator on mpmath
-    # values; at 60 digits it must agree with the double evaluation
+    # boundary_gap_witness evaluates phi(z0) with each symbol's own
+    # evaluator on mpmath values; at 60 digits it must agree with the
+    # double evaluation
     symbols = (TANGENT, de.Blaschke(0.7, [0.3 + 0.2j, -0.5j]),
                de.Polynomial([0.1, 0.5j, 0.3]), de.Taylor([0.2, 0.3, -0.1j, 0.25]))
     with mp.workdps(60):

@@ -105,6 +105,18 @@ def test_blaschke_derivative_at_zero_of_factor():
     assert abs(complex(b.derivative(z)) - fd) <= 1e-6
 
 
+def test_divided_differences_match_the_quotient_and_the_derivative():
+    symbols_ = (HYPERBOLIC, de.Blaschke(0.3, [0.4, -0.2j, 0.5 + 0.1j]),
+                de.Polynomial([0.1, 0.5j, 0.3]), de.Taylor([0.2, 0.3, -0.1j, 0.25]))
+    for s in symbols_:
+        for zeta in (1.0, cmath.exp(2.1j)):
+            divided = s._divided_difference(zeta)
+            assert abs(divided(zeta) - complex(s.derivative(zeta))) <= 1e-14
+            for z in (0.3 + 0.4j, -0.8j, 0.0):
+                quotient = (complex(s(z)) - complex(s(zeta))) / (z - zeta)
+                assert abs(divided(z) - quotient) <= 1e-14, (s, zeta, z)
+
+
 # ---------------------------------------------------------------------------
 # iteration
 
@@ -246,6 +258,27 @@ def test_self_map_check_fails_for_doubling():
 def test_constructor_rejects_doubling():
     with pytest.raises(de.SymbolError):
         de.Polynomial([0, 2.0])
+
+
+def test_disc_grid_is_built_once_and_read_only():
+    grid = symbols.disc_grid(512, 64)
+    assert symbols.disc_grid(512, 64) is grid
+    assert not grid.flags.writeable
+    with pytest.raises(ValueError):
+        grid[0] = 0.5
+    fresh = symbols.disc_grid.__wrapped__(512, 64)
+    assert fresh is not grid and np.array_equal(fresh, grid)
+
+
+def test_self_map_check_on_the_shared_grid_matches_a_fresh_grid():
+    fresh = symbols.disc_grid.__wrapped__(512, 64)
+    for name in de.GALLERY_NAMES:
+        s = de.gallery_symbol(name)
+        values = np.abs(s(fresh))
+        idx = int(np.argmax(values))
+        expected = de.SelfMapReport(float(values[idx]), complex(fresh[idx]),
+                                    float(values[idx]) <= 1.0 + symbols.SELF_MAP_TOL)
+        assert de.self_map_check(s) == expected, name
 
 
 def test_boundary_samples_floor():
