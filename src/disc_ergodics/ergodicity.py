@@ -18,7 +18,8 @@ import mpmath as mp
 import numpy as np
 
 from . import dynamics
-from .symbols import Blaschke, Orbit, Symbol, _horner, boundary_points, orbit_blocks
+from .symbols import (Blaschke, Orbit, Polynomial, Symbol, Taylor, _horner, boundary_points,
+                      orbit_blocks)
 from .weighted import VAlpha
 
 # Decision-rule tags carried by verdicts.  Stable identifiers: downstream
@@ -106,12 +107,51 @@ class HalfPointWitness(TestFunction):
         object.__setattr__(self, "z0", z0)
 
     def __call__(self, z):
-        return ((z + self.z0) / 2.0) ** self.k
+        g = (z + self.z0) / 2.0
+        if self.k < 2**53:
+            return g ** self.k
+        value = _huge_power(np.asarray(g, dtype=complex).ravel(), self.k).reshape(np.shape(g))
+        return value if isinstance(g, np.ndarray) else complex(value)
 
     def boundary_sup(self) -> float:
         # |g|^k attains its maximum 1 exactly at z0, which a sample grid can
         # miss for large k; return the exact value.
         return 1.0
+
+
+# Precision of ``_huge_power`` beyond the bit length of k: the phase
+# k arg(g) is then off by less than 2**-1090, so a power that is exactly
+# 1, such as i**(2**3173), comes out as 1 + 0j.
+HUGE_POWER_GUARD_BITS = 1100
+
+
+def _huge_power(g: np.ndarray, k: int) -> np.ndarray:
+    """g**k, elementwise on a flat array, for an integer k >= 2**53, which
+    no double holds exactly.
+
+    Each g is taken as the exact value of its two doubles.  Where an upper
+    bound on k log|g|, over the rounding of |g| and of its log, is below
+    -800, |g|^k is under the least subnormal double and the value is 0; k
+    is scaled by 2**-e to a double and the product back by 2**e, so this
+    saturates instead of overflowing.  The other points, those within about
+    800/k of the circle, are raised in mpmath as e^(k log g) at the bit
+    length of k plus ``HUGE_POWER_GUARD_BITS``, which reduces the phase
+    k arg(g) mod 2 pi correctly.  On the closed disc |g| <= 1; a point
+    outside it by rounding is taken on the circle, as no double can give
+    the power it would have.
+    """
+    e = k.bit_length() - 53
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_modulus = np.minimum(np.log(np.abs(g)), 0.0)
+        exponent = np.ldexp(k / 2**e * (log_modulus * (1.0 - 2.0**-50) + 2.0**-50), e)
+    value = np.zeros(g.shape, dtype=complex)
+    for i in np.flatnonzero(exponent > -800.0):
+        with mp.workprec(k.bit_length() + HUGE_POWER_GUARD_BITS):
+            w = mp.mpc(g[i].real, g[i].imag)
+            if abs(w) > 1:
+                w /= abs(w)
+            value[i] = complex(mp.exp(mp.mpf(k) * mp.log(w)))
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -246,21 +286,124 @@ class DensityEstimate:
     estimate: float
 
 
-def _visits(s: Symbol, seeds, z0: complex, radii, n: int):
+# Relative and absolute rounding margin of the absorption test, a few units
+# of 2**-53 on each of its operations.
+ABSORPTION_ROUNDING = 2.0**-48
+# Rounding of a 40-digit evaluation of a symbol, with room to spare.
+EVAL_ROUNDING_40 = 1e-30
+
+
+def _absorbed(w, dist, delta: float, r: float) -> np.ndarray:
+    """Whether the orbit of each point w, at distance ``dist`` from z0,
+    provably stays in B(z0, r), given a boundary attracting point zeta with
+    |zeta - z0| <= delta.
+
+    The Julia quotient |zeta - w|^2 / (1 - |w|^2) is at most
+    R = (dist + delta)^2 / (1 - |w|^2).  By Julia's lemma the orbit of w
+    stays in the closed horodisc where the quotient is at most R: the disc
+    with centre zeta/(1 + R) and radius R/(1 + R), whose points lie within
+    2R/(1 + R) of zeta, so within 2R/(1 + R) + delta of z0.  That reach is
+    below r when R < t/(2 - t) with t = r - delta, which the test asks with
+    a rounding margin on each side.
+    """
+    t = r / (1.0 + ABSORPTION_ROUNDING) - delta
+    limit = math.inf if t >= 2.0 else t / (2.0 - t) * (1.0 - ABSORPTION_ROUNDING)
+    gap = 1.0 - (w * np.conjugate(w)).real - ABSORPTION_ROUNDING
+    with np.errstate(invalid="ignore"):
+        return (dist + delta) ** 2 * (1.0 + ABSORPTION_ROUNDING) < limit * gap
+
+
+def _visits(s: Symbol, seeds, z0: complex, radii, n: int, delta: float | None = None):
     """Visits of each seed's orbit to B(z0, r) for each radius r: the hit
     counts and the running minimum of hits(m)/m over m >= n/2, each of shape
-    (len(radii), len(seeds))."""
+    (len(radii), len(seeds)), and the step after which every orbit was
+    certified to stay in every ball (None when all n steps were taken).
+
+    Without ``delta`` every step is taken.  With it, z0 is taken as a
+    boundary attracting point of the symbol, within delta of the exact one
+    zeta, and each orbit point is put to ``_absorbed`` for the smallest
+    radius.  Once every seed has had an absorbed point, by step a, each
+    later step hits every ball: hits(n) = hits(a) + n - a, and hits(m)/m =
+    1 - (a - hits(a))/m is nondecreasing for m > a, so the running minimum
+    over those m is its value at max(a + 1, n/2).  The steps up to a are
+    counted as they are taken; after a, the counts are those of the exact
+    orbit of the point taken at the absorption step.
+
+    Modelling assumption: like the snap rule of ``boundary_gap_witness``,
+    the certificate takes the classification at its word.  The symbol is a
+    self-map of the disc whose Denjoy-Wolff point zeta is the fixed point
+    next to z0, with phi'(zeta) = 1 when the classification says parabolic.
+    ``_attractor_error_bound`` then derives delta >= d = |z0 - zeta| for
+    polynomial and Taylor symbols, whose coefficients bound |phi''| by
+    M2 = sum k(k-1)|c_k| and |phi'''| by M3 = sum k(k-1)(k-2)|c_k| on the
+    closed disc.  Let eps bound |phi(z0) - z0|: its 40-digit value plus
+    that evaluation's rounding.
+
+    - Hyperbolic.  Expanding phi(zeta) - zeta = 0 about z0 gives
+      lam d <= eps + M2 d^2/2, lam = |1 - phi'(z0)|.  Next to z0 means
+      d <= lam/M2, where the quadratic term is at most half the linear
+      one, so d <= 2 eps/lam = delta.
+    - Parabolic.  Expanding phi(z0) - z0 about zeta, where phi'(zeta) = 1,
+      gives |phi''(zeta)| d^2/2 <= eps + M3 d^3/6, and
+      |phi''(zeta)| >= c - M3 d with c = |phi''(z0)|.  Next to z0 means
+      d <= 3c/(8 M3), where (c/4) d^2 <= eps, so d <= 2 sqrt(eps/c) = delta.
+
+    There is no delta, and every step is taken, for other symbols and when
+    delta itself is not next to z0 in this sense.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     radii = np.asarray(radii, dtype=float)[:, None, None]
     hits, min_ratio = 0, np.inf
+    if delta is not None:
+        r_min = float(radii.min())
+        absorbed_by = np.zeros(np.size(seeds), dtype=bool)
     for m0, block in orbit_blocks(s, seeds, n):
         m = np.arange(m0 + 1, m0 + len(block) + 1)
-        counts = np.cumsum(np.abs(block - z0) < radii, axis=1) + hits
+        dist = np.abs(block - z0)
+        rows = None
+        if delta is not None:
+            absorbed = _absorbed(block, dist, delta, r_min)
+            now = absorbed.any(axis=0)
+            if np.all(absorbed_by | now):
+                # the row of the block where the last seed was absorbed
+                rows = 1 + int(np.argmax(absorbed, axis=0).max(where=~absorbed_by, initial=0))
+                dist, m = dist[:rows], m[:rows]
+            absorbed_by |= now
+        counts = np.cumsum(dist < radii, axis=1) + hits
         hits = counts[:, -1:]
         ratios = counts[:, m >= n // 2] / m[m >= n // 2, None]
         min_ratio = np.minimum(min_ratio, ratios.min(axis=1, initial=np.inf))
-    return hits[:, 0], min_ratio
+        if rows is not None:
+            a = m0 + rows
+            if a < n:
+                first = max(a + 1, n // 2)
+                min_ratio = np.minimum(min_ratio, ((hits + (first - a)) / first)[:, 0])
+                hits = hits + (n - a)
+            return hits[:, 0], min_ratio, a if a < n else None
+    return hits[:, 0], min_ratio, None
+
+
+def _attractor_error_bound(s: Symbol, cls) -> float | None:
+    """delta for ``_visits`` at a classified boundary attracting point, or
+    None; the derivation is in ``_visits``."""
+    if not isinstance(s, (Polynomial, Taylor)):
+        return None
+    with mp.workdps(40):
+        z0 = mp.mpc(complex(cls.z0))
+        eps = float(abs(s(z0) - z0)) + EVAL_ROUNDING_40
+        lam = float(abs(1 - s.derivative(z0)))
+        c = float(abs(sum(k * (k - 1) * a * z0 ** (k - 2)
+                          for k, a in enumerate(s.coeffs) if k >= 2)))
+    if isinstance(cls, dynamics.ParabolicDW):
+        m3 = sum(k * (k - 1) * (k - 2) * abs(a) for k, a in enumerate(s.coeffs))
+        if c == 0.0:
+            return None
+        delta = 2.0 * math.sqrt(eps / c)
+        return delta if m3 * delta <= 0.375 * c else None
+    m2 = sum(k * (k - 1) * abs(a) for k, a in enumerate(s.coeffs))
+    delta = 2.0 * eps / lam
+    return delta if m2 * delta <= lam else None
 
 
 def orbit_density(s: Symbol, z: complex, z0: complex, radius: float,
@@ -274,7 +417,7 @@ def orbit_density(s: Symbol, z: complex, z0: complex, radius: float,
     if radius <= 0:
         raise ValueError("radius must be positive")
     z = complex(z)
-    hits, min_ratio = _visits(s, [z], complex(z0), [float(radius)], n)
+    hits, min_ratio, _ = _visits(s, [z], complex(z0), [float(radius)], n)
     return DensityEstimate(z, radius, n, int(hits[0, 0]), float(min_ratio[0, 0]),
                            int(hits[0, 0]) / n)
 
@@ -283,7 +426,7 @@ def density_sweep(s: Symbol, seeds, z0: complex, radii, n: int) -> list[DensityE
     """orbit_density over many seeds and several radii at once."""
     seeds = np.asarray(seeds, dtype=complex)
     radii = [float(r) for r in radii]
-    hits, min_ratio = _visits(s, seeds, complex(z0), radii, n)
+    hits, min_ratio, _ = _visits(s, seeds, complex(z0), radii, n)
     return [DensityEstimate(complex(seed), r, n, int(hits[i, k]), float(min_ratio[i, k]),
                             float(hits[i, k]) / n)
             for i, r in enumerate(radii) for k, seed in enumerate(seeds)]
@@ -548,6 +691,15 @@ def _interior_verdict(s: Symbol, space: str, cls: dynamics.InteriorDW,
     if space in ("Hv", "Hv0"):
         evidence.append(("note", "weighted theory covers rotation symbols only"))
         return ErgodicityVerdict(space, UNKNOWN, UNKNOWN, tag, evidence)
+    # Certificate: a symbol that maps the closed disc into D(0, R), R < 1,
+    # is a strict contraction of the hyperbolic metric on that compact
+    # image (Schwarz-Pick, Earle-Hamilton), so phi^n -> z0 uniformly.  The
+    # margin is that of the boundary-periodic-point search, which returns
+    # no point for such symbols.
+    bound = dynamics._image_radius_bound(s)
+    if bound < 1.0 - 1e-10:
+        evidence.append(("image_radius_bound", bound))
+        return ErgodicityVerdict(space, YES, YES, tag, evidence)
     periodic_pts = dynamics.boundary_periodic_points(
         s, budgets.max_period, budgets.period_samples)
     if periodic_pts:
@@ -629,13 +781,18 @@ def _boundary_verdict(s: Symbol, space: str, cls, budgets: VerdictBudgets) -> Er
         evidence.append(("local_contraction_note",
                          f"{TAG_HYPERBOLIC_LOCAL} applies if the symbol extends "
                          "holomorphically past z0 (assumed, not verified)"))
-    seeds = _boundary_seeds(z0, budgets.density_seeds)
-    estimates = density_sweep(s, seeds, z0, budgets.density_radii, budgets.density_n)
-    min_estimate = min(d.estimate for d in estimates)
-    min_ratio = min(d.running_min_ratio for d in estimates)
+    # The orbits stop once a horodisc certificate covers their remainder.
+    delta = _attractor_error_bound(s, cls)
+    hits, min_ratios, certified_step = _visits(
+        s, _boundary_seeds(z0, budgets.density_seeds), complex(z0),
+        budgets.density_radii, budgets.density_n, delta)
+    min_estimate = float(hits.min()) / budgets.density_n
+    min_ratio = float(min_ratios.min())
     evidence.append(("density_min_estimate", min_estimate))
     evidence.append(("density_min_running_ratio", min_ratio))
     evidence.append(("density_n", budgets.density_n))
+    evidence.append(("attractor_error_bound", delta))
+    evidence.append(("density_certified_step", certified_step))
     tag = f"{TAG_DENSITY} + {TAG_BOUNDARY_DW}"
     if min_estimate >= DENSITY_YES:
         return ErgodicityVerdict(space, YES, NO, tag, evidence)
@@ -652,13 +809,24 @@ def verdict(s: Symbol, space: str, budgets: VerdictBudgets | None = None,
     Classifies the symbol, then applies the decision rules: periodic
     elliptic automorphisms are uniformly mean ergodic everywhere; aperiodic
     rotations are mean ergodic on the disc algebra but not uniformly, and not
-    mean ergodic on the bounded functions; interior attracting points decide
-    through sup-norm decay against boundary periodic obstructions; boundary
-    attracting points are never uniformly mean ergodic, with the exact
-    Moebius/Blaschke dichotomies and the orbit-density experiment deciding
-    mean ergodicity.  ``unknown`` is a valid outcome and carries its reason.
-    ``cls``, when given, is the symbol's ``dynamics.classify`` result and
-    saves classifying it again.
+    mean ergodic on the bounded functions; boundary attracting points are
+    never uniformly mean ergodic, with the exact Moebius/Blaschke
+    dichotomies and the orbit-density experiment deciding mean ergodicity.
+
+    Two certificates come before the experiments they replace.  At an
+    interior attracting point, an image-radius bound R < 1 - 1e-10 (exact
+    for Moebius maps, sum |c_k| for polynomial and Taylor symbols) proves
+    uniform convergence phi^n -> z0 and gives yes/yes with evidence
+    ``image_radius_bound``; otherwise boundary periodic points obstruct, or
+    sup-norm decay of the iterates decides.  On the density route, the
+    orbits stop once Julia's lemma keeps the rest of each of them in every
+    ball (``_visits``), and the evidence names that step,
+    ``density_certified_step`` (null when every step was taken), and the
+    bound ``attractor_error_bound`` on the error of z0 that the certificate
+    allowed for (null, with every step taken, where none is derived).
+    ``unknown`` is a valid outcome and carries its reason.  ``cls``, when
+    given, is the symbol's ``dynamics.classify`` result and saves
+    classifying it again.
     """
     if space not in SPACES:
         raise ValueError(f"space must be one of {SPACES}")

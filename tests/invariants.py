@@ -287,6 +287,89 @@ def check_orbit_closed_form(cases: int = 100) -> int:
     return cases
 
 
+def _boundary_attracting_polynomial(rng, parabolic: bool) -> de.Polynomial:
+    # c_k >= 0 with sum c_k = 1 fixes 1, where the angular derivative is
+    # sum k c_k: 1 when c_0 = sum_{k>=2} (k - 1) c_k, below 1 otherwise.
+    # Rotated by u = e^{i beta}, c_k u^(1-k) fixes u.
+    degree = int(rng.integers(2, 5))
+    high = rng.uniform(0.0, 1.0, degree - 1)
+    k = np.arange(2, degree + 1)
+    if parabolic:
+        high *= rng.uniform(0.1, 1.0) / np.sum(k * high)
+        c0 = float(np.sum((k - 1) * high))
+        c1 = 1.0 - c0 - float(np.sum(high))
+    else:
+        slope = rng.uniform(0.3, 0.95)
+        high *= slope * rng.uniform(0.0, 0.6) / np.sum(k * high)
+        c1 = slope - float(np.sum(k * high))
+        c0 = 1.0 - c1 - float(np.sum(high))
+    u = cmath.exp(1j * rng.uniform(0, 2 * math.pi)) if rng.uniform() < 0.5 else 1.0
+    coeffs = [c0, c1] + [float(c) for c in high]
+    return de.Polynomial([c * u ** (1 - j) for j, c in enumerate(coeffs)])
+
+
+def _boundary_attracting_blaschke(rng, parabolic: bool) -> de.Blaschke:
+    # A zero a with (1 - |a|^2)/|1 - a|^2 = b_j lies on the horocycle at 1
+    # with centre b_j/(1 + b_j) and radius 1/(1 + b_j); with
+    # e^{it} = prod (1 - conj a)/(1 - a) the product fixes 1, where its
+    # angular derivative is sum b_j: 1, or below 1.
+    degree = int(rng.integers(2, 4))
+    shares = rng.uniform(0.2, 1.0, degree)
+    shares *= (1.0 if parabolic else rng.uniform(0.3, 0.95)) / shares.sum()
+    zeros = [b / (1 + b) + cmath.exp(1j * rng.uniform(0.5, 2 * math.pi - 0.5)) / (1 + b)
+             for b in shares]
+    rotation = sum(-2.0 * cmath.phase(1 - a) for a in zeros)
+    return de.Blaschke(rotation, zeros)
+
+
+def check_density_certificate(cases: int = 100) -> int:
+    """Visit counts and running minima with the horodisc certificate equal
+    those of full stepping, bit for bit.
+
+    Symbols: boundary-attracting polynomials, hyperbolic and parabolic,
+    some rotated, and Blaschke products of degree 2 and 3 with a boundary
+    attracting point, plus (1 + z^2)/2.  Seeds on the circle and inside the
+    disc.  delta is the verdict's for the polynomials; for a Blaschke
+    product, which has no coefficient bound, it is set by hand.
+    """
+    rng = np.random.default_rng(SEED + 7)
+    certified = 0
+    for case in range(cases):
+        pick = rng.integers(0, 4)
+        if case == 0:
+            s = de.Polynomial([0.5, 0.0, 0.5])
+        elif pick < 2:
+            s = _boundary_attracting_polynomial(rng, parabolic=pick == 1)
+        else:
+            s = _boundary_attracting_blaschke(rng, parabolic=pick == 3)
+        cls = de.classify(s)
+        assert isinstance(cls, (de.HyperbolicDW, de.ParabolicDW)), (s, cls)
+        if isinstance(s, de.Blaschke):
+            # the product fixes 1 up to the rounding of its zeros and
+            # rotation; at a parabolic point that moves the fixed point, and
+            # the classified z0, by up to about 3e-7 (300 products)
+            delta = 1e-5
+        else:
+            delta = de.ergodicity._attractor_error_bound(s, cls)
+            assert delta is not None, s
+        count = int(rng.integers(1, 17))
+        seeds = np.exp(2j * np.pi * (np.arange(count) + 0.5) / count) * cls.z0
+        # a Blaschke product keeps the circle, where no orbit is certified
+        inner = slice(None) if isinstance(s, de.Blaschke) else slice(None, None, 2)
+        seeds[inner] *= rng.uniform(0.0, 1.0, seeds[inner].shape)
+        radii = sorted(rng.choice([0.5, 0.2, 0.1, 0.05, 0.02], int(rng.integers(1, 4)),
+                                  replace=False))
+        n = int(10.0 ** rng.uniform(0.0, 3.5))
+        full = de.ergodicity._visits(s, seeds, cls.z0, radii, n)
+        fast = de.ergodicity._visits(s, seeds, cls.z0, radii, n, delta)
+        assert full[2] is None, s
+        assert np.array_equal(full[0], fast[0]), (s, seeds, radii, n, fast[2])
+        assert np.array_equal(full[1], fast[1]), (s, seeds, radii, n, fast[2])
+        certified += fast[2] is not None
+    assert certified >= cases // 4, certified
+    return cases
+
+
 ALL_CHECKS = {
     "derivative_vs_finite_difference": check_derivative_finite_difference,
     "schwarz_monotonicity": check_schwarz_monotonicity,
@@ -295,4 +378,5 @@ ALL_CHECKS = {
     "weight_monotonicity": check_weight_monotonicity,
     "boundary_periodic_points": check_boundary_periodic_points,
     "orbit_closed_form": check_orbit_closed_form,
+    "density_certificate": check_density_certificate,
 }

@@ -198,3 +198,29 @@ def test_criterion_11_invariant_suites():
         assert counts[name] >= 100
     _report(11, "randomized invariant suites", time.perf_counter() - t0, 300.0,
             f"{sum(counts.values())} cases across {len(counts)} suites")
+
+
+def test_criterion_12_certificates_before_experiments():
+    t0 = time.perf_counter()
+    steps = []
+    # a nonlinear contraction toward 1, and the two boundary-attracting
+    # polynomials of the benchmark's orbit_sweeps workload at seed 1
+    for coeffs in ([0.19, 0.8, 0.01],
+                   [0.38709096345752936, 0.4978626669098771, 0.11504636963259353],
+                   [0.49103519779211974, 0.41983567912134206, 0.05118314520104854,
+                    0.03794597788548976]):
+        v = de.verdict(de.Polynomial(coeffs), "A")
+        assert (v.mean_ergodic, v.uniformly_mean_ergodic) == ("yes", "no")
+        steps.append(dict(v.evidence)["density_certified_step"])
+        assert steps[-1] is not None
+    z_half = de.gallery_symbol("z_half")
+    for space in ("A", "Hinf"):
+        v = de.verdict(z_half, space)
+        assert (v.mean_ergodic, v.uniformly_mean_ergodic) == ("yes", "yes")
+        assert "image_radius_bound" in dict(v.evidence)
+    elapsed = time.perf_counter() - t0
+    # the experiment stays the fallback where no certificate applies
+    v = de.verdict(de.Polynomial([0.3, 0.5, -0.3]), "A")
+    assert "sup_distance_last" in dict(v.evidence)
+    _report(12, "certificates before experiments", elapsed, 0.25,
+            f"density certified at steps {steps}")

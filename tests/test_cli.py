@@ -52,6 +52,30 @@ def test_cesaro_csv_deterministic(tmp_path):
     assert header == "n,orbit_re,orbit_im,mean_re,mean_im"
 
 
+def test_cesaro_witness_with_a_huge_power(tmp_path):
+    sym = _write_gallery(tmp_path, "hyperbolic")
+    code = cli.main(["cesaro", "--symbol", sym, "--f", f"witness:1;{2**3173}",
+                     "--z", "0", "--N", "300", "--out", str(tmp_path)])
+    assert code == 0
+    last = (tmp_path / "cesaro.csv").read_text().splitlines()[-1].split(",")
+    assert 0.0 <= float(last[3]) <= 1.0
+
+
+def test_verdict_report_names_the_density_certificate(tmp_path):
+    sym = tmp_path / "poly.json"
+    sym.write_text(json.dumps({"kind": "polynomial",
+                               "coeffs": [[0.19, 0.0], [0.8, 0.0], [0.01, 0.0]]}))
+    reports = []
+    for out in (tmp_path / "a", tmp_path / "b"):
+        assert cli.main(["verdict", "--symbol", str(sym), "--space", "A",
+                         "--out", str(out)]) == 0
+        reports.append((out / "verdict_A.json").read_bytes())
+    assert reports[0] == reports[1]
+    evidence = {e["name"]: e["value"] for e in json.loads(reports[0])["evidence"]}
+    assert isinstance(evidence["density_certified_step"], int)
+    assert 0.0 < evidence["attractor_error_bound"] < 1e-12
+
+
 def test_cesaro_final_mean_near_attractor(tmp_path):
     sym = _write_gallery(tmp_path, "parab")
     code = cli.main(["cesaro", "--symbol", sym, "--f", "monomial:1",

@@ -178,6 +178,85 @@ def test_density_sweep_matches_scalar():
 
 
 # ---------------------------------------------------------------------------
+# horodisc certificate of the density route
+
+def _horodisc_reach(zeta, z0, w):
+    """Largest distance from z0 to the closed horodisc at zeta through w."""
+    R = abs(zeta - w) ** 2 / (1.0 - abs(w) ** 2)
+    return abs(z0 - zeta / (1.0 + R)) + R / (1.0 + R)
+
+
+def _absorbed(w, z0, delta, r):
+    w = np.asarray(w, dtype=complex)
+    return de.ergodicity._absorbed(w, np.abs(w - z0), delta, r)
+
+
+@pytest.mark.parametrize("zeta", [1.0, -1.0, 1j])
+def test_absorption_rejects_the_horodisc_far_point(zeta):
+    # zeta (1 - R)/(1 + R) lies on the horocycle, 2R/(1 + R) from zeta
+    for R in (0.5, 0.01, 1e-4, 1e-8):
+        reach = 2.0 * R / (1.0 + R)
+        far = zeta * (1.0 - R) / (1.0 + R)
+        assert not _absorbed([far], zeta, 0.0, reach)[0], R
+        inner = zeta * (1.0 - R / 4) / (1.0 + R / 4)
+        assert _absorbed([inner], zeta, 0.0, reach)[0], R
+        assert not _absorbed([inner], zeta, reach, reach)[0], R
+
+
+def test_absorption_holds_with_a_planted_attractor_error():
+    # z0 misses zeta = 1 by delta/2: an absorbed point's horodisc about the
+    # true zeta must lie in B(z0, r)
+    rng = np.random.default_rng(5)
+    delta, r = 2e-3, 0.02
+    z0 = cmath.exp(2j * math.asin(delta / 4))
+    assert abs(abs(z0 - 1.0) - delta / 2) <= 1e-15
+    offsets = rng.uniform(0.0, 0.05, 4000) * np.exp(1j * rng.uniform(-1.5, 1.5, 4000))
+    radial = 1.0 - np.logspace(-9, -2, 200)  # absorbed if delta were dropped
+    w = np.concatenate([z0 * (1.0 - offsets), z0 * radial])
+    absorbed = _absorbed(w, z0, delta, r)
+    assert absorbed.sum() >= 100
+    for point in w[absorbed]:
+        assert _horodisc_reach(1.0, z0, point) < r, point
+    assert not _absorbed(z0 * (1.0 - 1e-6), z0, delta, r)
+
+
+def test_density_certificate_matches_full_stepping():
+    circle = de.ergodicity._boundary_seeds(1.0, 16)
+    half = de.Polynomial([0.5, 0.0, 0.5])
+    # (1 + z^2)/2 sends the circle's -1 + 1.2e-16i to 1 - 1.2e-16i, which it
+    # fixes bit for bit, on the circle, where no horodisc certifies it:
+    # every step is taken; seeds offset by half a step are certified
+    for s, seeds, certified in ((de.Polynomial([0.19, 0.8, 0.01]), circle, True),
+                                (de.Polynomial([0.25, 0.5, 0.25]), circle, True),
+                                (half, circle * cmath.exp(1j * math.pi / 16), True),
+                                (half, circle, False)):
+        cls = de.classify(s)
+        delta = de.ergodicity._attractor_error_bound(s, cls)
+        for n in (1, 7, 300, 5000):
+            full = de.ergodicity._visits(s, seeds, cls.z0, (0.5, 0.1, 0.02), n)
+            fast = de.ergodicity._visits(s, seeds, cls.z0, (0.5, 0.1, 0.02), n, delta)
+            assert np.array_equal(full[0], fast[0]) and np.array_equal(full[1], fast[1])
+            assert fast[2] is None or fast[2] < n
+        assert (fast[2] is not None) == certified, s
+
+
+def test_attractor_error_bound_checks_its_hypothesis():
+    # parabolic at 1: phi''(1) = 1.4, and |phi'''| <= 1.2 on the closed disc
+    cubic = de.Polynomial([0.5, 0.2, 0.1, 0.2])
+    cls = de.classify(cubic)
+    assert isinstance(cls, de.ParabolicDW)
+    assert 0.0 < de.ergodicity._attractor_error_bound(cubic, cls) < 1e-7
+    # taken at 0.05 from the fixed point, the derived delta is still next to
+    # it; at 0.5 it reaches past where the cubic term is small
+    near = de.ergodicity._attractor_error_bound(cubic, de.ParabolicDW(cmath.exp(0.05j), 1.0))
+    assert 0.05 <= near < 0.1
+    assert de.ergodicity._attractor_error_bound(cubic, de.ParabolicDW(cmath.exp(0.5j), 1.0)) is None
+    # no coefficient bound for a Blaschke product
+    blaschke = de.Blaschke(0.0, [0.5, -0.5])
+    assert de.ergodicity._attractor_error_bound(blaschke, de.HyperbolicDW(1.0, 0.5)) is None
+
+
+# ---------------------------------------------------------------------------
 # Weyl statistics
 
 def test_weyl_aperiodic_rotation_equidistributes():
@@ -302,6 +381,48 @@ def test_symbols_evaluate_mpmath_values():
                 assert abs(complex(value) - complex(s(z))) <= 1e-15
 
 
+def test_half_point_witness_saturates_at_huge_powers():
+    w = de.HalfPointWitness(1.0, 2**3173)
+    assert w(0.5) == 0.0 and w(1.0) == 1.0
+    values = w(np.array([0.5, 1.0, -1.0, 0.3 + 0.2j, 1j]))
+    assert np.array_equal(values, [0.0, 1.0, 0.0, 0.0, 0.0])
+    # powers that are exactly 1 or -1 at the witness's own peak
+    assert de.HalfPointWitness(1j, 2**3173)(1j) == 1
+    assert de.HalfPointWitness(-1.0, 2**3173)(-1.0) == 1
+    assert de.HalfPointWitness(-1.0, 2**3173 + 1)(-1.0) == -1
+    assert de.HalfPointWitness(1j, 2**3173 + 1)(np.array([1j]))[0] == 1j
+    # next to z0, where |g| rounds to 1, against the phase k arg(g) reduced
+    # mod 2 pi at 4,000 bits
+    near = np.array([complex(1.0, 1e-300), complex(1.0, 2.0**-40)])
+    with mp.workprec(4000):
+        turns = [mp.fmod(mp.mpf(2**3173) * mp.atan2(z.imag / 2, (1.0 + z.real) / 2), 2 * mp.pi)
+                 for z in near]
+        exact = [complex(mp.cos(t), mp.sin(t)) for t in turns]
+    assert np.max(np.abs(w(near) - exact)) <= 1e-15
+
+
+def test_half_point_witness_agrees_with_the_power():
+    rng = np.random.default_rng(11)
+    inside = np.sqrt(rng.uniform(0, 1, 40)) * np.exp(1j * rng.uniform(0, 2 * np.pi, 40))
+    circle = np.exp(1j * rng.uniform(0, 2 * np.pi, 40))
+    for z0 in (1.0, 1j, cmath.exp(2j)):
+        z = np.concatenate([inside, circle, [z0]])
+        for k in (1, 2, 7, 100, 101, 2**10, 2**20, 2**40):
+            w = de.HalfPointWitness(z0, k)
+            assert np.max(np.abs(w(z) - ((z + w.z0) / 2.0) ** k)) <= 1e-12
+            for p in z[::9]:
+                assert abs(w(complex(p)) - ((complex(p) + w.z0) / 2.0) ** k) <= 1e-12
+
+
+def test_half_point_witness_above_two_to_the_53():
+    # g = 1 - 2**-53 and k = 2**55 + 1: (1 - 2**-53)**k against 50 digits
+    k = 2**55 + 1
+    with mp.workdps(50):
+        exact = float(mp.power(1 - mp.mpf(2) ** -53, k))
+    value = de.HalfPointWitness(1.0, k)(1.0 - 2.0**-52)
+    assert abs(value - exact) <= 1e-12 * exact
+
+
 def test_gap_witness_rejects_interior_target():
     with pytest.raises(ValueError):
         de.boundary_gap_witness(TANGENT, 0.5, 3)
@@ -400,6 +521,33 @@ def test_verdict_generic_boundary_routes():
     vb = _v(b, "A", budgets=de.VerdictBudgets(density_n=10**4))
     assert (vb.mean_ergodic, vb.uniformly_mean_ergodic) == ("no", "no")
     assert "Prop 3.10" in vb.theorem_tag
+
+
+def test_verdict_interior_certificate():
+    # |phi| <= 1/2 on the closed disc: decided without sampling
+    evidence = dict(_v(HALF, "A").evidence)
+    assert evidence["image_radius_bound"] == 0.5
+    assert "sup_distance_last" not in evidence
+    # sum |c_k| = 1.1 although sup |phi| is about 0.78: the sweep decides
+    v = _v(de.Polynomial([0.3, 0.5, -0.3]), "A")
+    assert (v.mean_ergodic, v.uniformly_mean_ergodic) == ("yes", "yes")
+    evidence = dict(v.evidence)
+    assert "sup_distance_last" in evidence and "image_radius_bound" not in evidence
+
+
+def test_verdict_density_route_names_its_certificate():
+    budgets = de.VerdictBudgets(density_n=3000)
+    for s, certified in ((de.Polynomial([0.19, 0.8, 0.01]), True),
+                         (de.Polynomial([0.5, 0.0, 0.5]), False)):
+        cls = de.classify(s)
+        evidence = dict(_v(s, "A", budgets=budgets, cls=cls).evidence)
+        seeds = de.ergodicity._boundary_seeds(cls.z0, budgets.density_seeds)
+        hits, ratios, _ = de.ergodicity._visits(s, seeds, cls.z0, budgets.density_radii, 3000)
+        assert evidence["density_min_estimate"] == float(hits.min()) / 3000
+        assert evidence["density_min_running_ratio"] == float(ratios.min())
+        assert 0.0 < evidence["attractor_error_bound"] < 1e-12
+        step = evidence["density_certified_step"]
+        assert (step is not None and step < 3000) if certified else step is None
 
 
 def test_verdict_unknown_is_allowed_and_flagged():
