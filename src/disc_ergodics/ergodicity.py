@@ -638,9 +638,10 @@ class VerdictBudgets:
             raise ValueError("budgets must be positive")
 
 
-# Density-evidence margins: a numerical yes needs every seed/radius estimate
-# at or above DENSITY_YES; a no needs a seed whose running minimum ratio
-# stays at or below DENSITY_NO over the second half.  In between: unknown.
+# Density-evidence margins: a numerical yes needs a certified run or every
+# seed/radius estimate at or above DENSITY_YES; a no needs a seed whose
+# running minimum ratio stays at or below DENSITY_NO over the second half.
+# In between: unknown.
 DENSITY_YES = 0.999
 DENSITY_NO = 0.9
 SUP_DECAY_DECISIVE = 0.2
@@ -794,7 +795,8 @@ def _boundary_verdict(s: Symbol, space: str, cls, budgets: VerdictBudgets) -> Er
     evidence.append(("attractor_error_bound", delta))
     evidence.append(("density_certified_step", certified_step))
     tag = f"{TAG_DENSITY} + {TAG_BOUNDARY_DW}"
-    if min_estimate >= DENSITY_YES:
+    # certified: every orbit stays in every ball, so the lower density is 1
+    if certified_step is not None or min_estimate >= DENSITY_YES:
         return ErgodicityVerdict(space, YES, NO, tag, evidence)
     if min_ratio <= DENSITY_NO:
         return ErgodicityVerdict(space, NO, NO, tag, evidence)
@@ -820,7 +822,7 @@ def verdict(s: Symbol, space: str, budgets: VerdictBudgets | None = None,
     ``image_radius_bound``; otherwise boundary periodic points obstruct, or
     sup-norm decay of the iterates decides.  On the density route, the
     orbits stop once Julia's lemma keeps the rest of each of them in every
-    ball (``_visits``), and the evidence names that step,
+    ball (``_visits``), which answers yes; the evidence names that step,
     ``density_certified_step`` (null when every step was taken), and the
     bound ``attractor_error_bound`` on the error of z0 that the certificate
     allowed for (null, with every step taken, where none is derived).

@@ -13,6 +13,7 @@ import cmath
 import functools
 import json
 import math
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -587,22 +588,56 @@ def orbit_blocks(s: Symbol, seeds, n: int):
     seed in Python complex arithmetic.  So is an array that fills a block by
     itself (the sup-norm grid): with one row per block the closed form has
     no steps to save.
+
+    A stepped orbit that repeats a row bit for bit ends early.  The row
+    saved at steps 0, 1, 2, 4, 8, ... is compared with each new row (Brent
+    1980); a match p steps later proves that the orbit repeats with period
+    p from there on, as the evaluator is a function of its input.  The next
+    p rows, when they fit in a block, are stepped once and tiled into the
+    rest of the orbit, so every block is exactly the stepped one.  A stepped
+    orbit that leaves the closed disc (a point not finite, or of modulus
+    above 1 + SELF_MAP_TOL) raises SymbolError naming the step.
     """
     seeds = np.asarray(seeds, dtype=complex).ravel()
     rows = max(1, BLOCK_POINTS // max(1, len(seeds)))
     form = _closed_form(s) if rows > 1 else None
-    w = complex(seeds[0]) if len(seeds) == 1 else seeds
+    one = len(seeds) == 1
+    w = complex(seeds[0]) if one else seeds
+    # a row's key: its bytes, or for one seed the value, whose bits are
+    # compared on a match (0 == -0, but they print differently)
+    saved, saved_m, cycle = (w if one else w.tobytes()), 0, None
     for m0 in range(0, n, rows):
         count = min(rows, n - m0)
         if form is not None:
             yield m0, form.iterates(seeds, np.arange(m0 + 1, m0 + count + 1))
             continue
         points = []
-        for _ in range(count):
-            w = complex(s(w)) if len(seeds) == 1 else s(w)
-            points.append(w)
+        with np.errstate(over="ignore", invalid="ignore"):  # the disc check reports it
+            for m in range(m0 + 1, m0 + count + 1) if cycle is None else ():
+                w = complex(s(w)) if one else s(w)
+                points.append(w)
+                key = w if one else w.tobytes()
+                if key == saved and m - saved_m <= rows and (
+                        not one or struct.pack("2d", w.real, w.imag)
+                        == struct.pack("2d", saved.real, saved.imag)):
+                    period, start, cycle = m - saved_m, m, []
+                    for _ in range(min(period, n - m)):
+                        w = complex(s(w)) if one else s(w)
+                        cycle.append(w)
+                    cycle = np.array(cycle).reshape(len(cycle), len(seeds))
+                    break
+                if m & (m - 1) == 0:
+                    saved, saved_m = key, m
         # a lone row of a large grid is passed on as it is, not copied
-        yield m0, w[None] if count == 1 and len(seeds) > 1 else np.array(points).reshape(count, -1)
+        block = points[0][None] if len(points) == 1 and not one else \
+            np.array(points).reshape(len(points), len(seeds))
+        outside = ~(np.abs(block) <= 1.0 + SELF_MAP_TOL).all(axis=1)
+        if outside.any():
+            raise SymbolError(f"orbit leaves the closed disc at step {m0 + 1 + np.argmax(outside)}")
+        if cycle is not None:  # its rows repeat rows checked above
+            tiled = cycle[(np.arange(m0 + len(points), m0 + count) - start) % period]
+            block = np.concatenate((block, tiled))
+        yield m0, block
 
 
 def iterate(s: Symbol, z: complex, n: int) -> Orbit:

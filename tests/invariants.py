@@ -370,6 +370,74 @@ def check_density_certificate(cases: int = 100) -> int:
     return cases
 
 
+class CountingSymbol(de.Symbol):
+    """Wraps a symbol and counts its evaluations; the engine steps it."""
+
+    def __init__(self, s: de.Symbol):
+        self.s, self.calls = s, 0
+
+    def __call__(self, z):
+        self.calls += 1
+        return self.s(z)
+
+
+def stepped_orbit(s: de.Symbol, seeds, n: int) -> np.ndarray:
+    """n rows of the plain step loop, one seed in Python complex arithmetic
+    and several in one array, as ``orbit_blocks`` steps them."""
+    seeds = np.asarray(seeds, dtype=complex).ravel()
+    one = len(seeds) == 1
+    w = complex(seeds[0]) if one else seeds
+    rows = []
+    with np.errstate(all="ignore"):
+        for _ in range(n):
+            w = complex(s(w)) if one else s(w)
+            rows.append(w)
+    return np.array(rows).reshape(n, len(seeds))
+
+
+def check_engine_matches_stepping(s: de.Symbol, seeds, n: int, want=None) -> int:
+    """``orbit_blocks(s, seeds, n)`` gives the rows of the plain step loop
+    (``want``, its first n rows taken) bit for bit, or, where that loop
+    leaves the closed disc, raises SymbolError naming its first step
+    outside.  Returns the number of evaluations of the symbol."""
+    want = stepped_orbit(s, seeds, n) if want is None else want[:n]
+    outside = ~(np.abs(want) <= 1.0 + de.symbols.SELF_MAP_TOL).all(axis=1)
+    counting = CountingSymbol(s)
+    try:
+        got = np.concatenate([b for _, b in de.symbols.orbit_blocks(counting, seeds, n)])
+    except de.SymbolError as exc:
+        assert outside.any() and str(exc) == (
+            f"orbit leaves the closed disc at step {1 + np.argmax(outside)}"), (s, n, exc)
+        return counting.calls
+    assert not outside.any(), (s, n)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes(), (s, seeds, n)
+    return counting.calls
+
+
+def check_orbit_early_exit(cases: int = 100) -> int:
+    """Stepped orbits of random nonlinear symbols (``random_symbol`` draws
+    that are not linear-fractional) pass ``check_engine_matches_stepping``,
+    from one interior seed, up to 40 interior seeds or up to 16 seeds on the
+    circle, for n log-uniform up to 3000; and orbits end early, with fewer
+    evaluations than steps, in at least a quarter of the cases."""
+    rng = np.random.default_rng(SEED + 8)
+    ended = 0
+    for _ in range(cases):
+        s = random_symbol(rng)
+        while de.symbols._as_moebius(s) is not None:
+            s = random_symbol(rng)
+        pick = rng.integers(0, 3)
+        count = 1 if pick == 0 else int(rng.integers(2, 41 if pick == 1 else 17))
+        if pick == 2:
+            seeds = np.exp(2j * np.pi * (np.arange(count) + rng.uniform()) / count)
+        else:
+            seeds = np.array([_random_interior(rng) for _ in range(count)])
+        n = int(10.0 ** rng.uniform(0.0, math.log10(3000)))
+        ended += check_engine_matches_stepping(s, seeds, n) < n
+    assert ended >= cases // 4, ended
+    return cases
+
+
 ALL_CHECKS = {
     "derivative_vs_finite_difference": check_derivative_finite_difference,
     "schwarz_monotonicity": check_schwarz_monotonicity,
@@ -379,4 +447,5 @@ ALL_CHECKS = {
     "boundary_periodic_points": check_boundary_periodic_points,
     "orbit_closed_form": check_orbit_closed_form,
     "density_certificate": check_density_certificate,
+    "orbit_early_exit": check_orbit_early_exit,
 }

@@ -131,7 +131,7 @@ def test_criterion_07_cesaro_denjoy_wolff():
         assert dev <= 0.05, (name, dev)
         worst = max(worst, dev)
     _report(7, "Cesaro orbit means reach the attractor",
-            time.perf_counter() - t0, 10.0, f"worst deviation {worst:.2e}")
+            time.perf_counter() - t0, 2.0, f"worst deviation {worst:.2e}")
 
 
 def test_criterion_08_lacunary_construction():

@@ -151,6 +151,16 @@ def test_library_errors_exit_one(tmp_path, capsys, monkeypatch, exc):
     assert capsys.readouterr().err == f"error: {exc}\n"
 
 
+def test_orbit_leaving_the_disc_exits_one(tmp_path, capsys):
+    # rounding moves circle seeds off this product's repelling circle
+    sym = tmp_path / "b.json"
+    sym.write_text(json.dumps({"kind": "blaschke", "rotation": 0.3, "zeros": [0, [0.5, 0.2]]}))
+    assert cli.main(["density", "--symbol", str(sym), "--radius", "0.1", "--seeds", "8",
+                     "--N", "2000", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: orbit leaves the closed disc at step 26\n"
+    assert not (tmp_path / "density.csv").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["classify", "--N", "5"],
     ["verdict", "--format", "report"],

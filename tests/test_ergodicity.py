@@ -550,6 +550,16 @@ def test_verdict_density_route_names_its_certificate():
         assert (step is not None and step < 3000) if certified else step is None
 
 
+def test_certified_density_run_answers_yes():
+    # ((1 + z)/2)^2: certified at step 196, the estimate at n = 10^5 is
+    # 0.99806 < DENSITY_YES, but every orbit stays in every ball from then on
+    v = _v(de.Polynomial([0.25, 0.5, 0.25]), "A")
+    evidence = dict(v.evidence)
+    assert evidence["density_certified_step"] == 196
+    assert evidence["density_min_estimate"] < de.ergodicity.DENSITY_YES
+    assert (v.mean_ergodic, v.uniformly_mean_ergodic) == ("yes", "no")
+
+
 def test_verdict_unknown_is_allowed_and_flagged():
     v = _v(ZSQ, "Hv")
     assert v.mean_ergodic == "unknown"

@@ -10,9 +10,12 @@ import disc_ergodics as de
 from disc_ergodics import symbols
 from disc_ergodics.symbols import _as_moebius, _closed_form, orbit_blocks
 from invariants import (
+    CountingSymbol,
     check_derivative_finite_difference,
+    check_engine_matches_stepping,
     check_orbit_closed_form,
     check_schwarz_monotonicity,
+    stepped_orbit,
 )
 
 
@@ -174,6 +177,63 @@ def test_orbit_blocks_one_seed_steps_like_an_array():
 
 def test_orbit_closed_form_invariants():
     assert check_orbit_closed_form(100) >= 100
+
+
+# Orbits of the 25-seed grid that repeat in doubles, from the benchmark's
+# orbit_sweeps workload: rows of 0 and -0 alternate from step 971, and rows
+# of +-5e-324 and 0 repeat with period 4 from step 1111.
+GRID_25 = (np.array([0.1, 0.3, 0.5, 0.7, 0.9])[:, None]
+           * np.exp(2j * np.pi * np.arange(5) / 5)[None, :]).ravel()
+SIGNED_ZEROS = de.Blaschke(6.063071150875708, [0.0, 0.2742704144576519 + 0.37279115237706933j])
+SUBNORMALS = de.Polynomial([0.0, -0.022056292374058584 + 0.5108417611523692j,
+                            0.25765419349931257 + 0.12761170789248122j])
+
+
+def test_repeating_orbits_are_told_apart_bit_for_bit():
+    rows = stepped_orbit(SIGNED_ZEROS, GRID_25, 1000)
+    # equal as values: a value rule would take this period-2 cycle for a
+    # fixed row, and print 0 where stepping prints -0
+    assert np.array_equal(rows[970], rows[971]) and rows[970].tobytes() != rows[971].tobytes()
+    assert rows[969].tobytes() != rows[971].tobytes() == rows[999].tobytes()
+    rows = stepped_orbit(SUBNORMALS, GRID_25, 1200)
+    assert 5e-324 in np.abs(rows[1110].real) and rows[1109].tobytes() != rows[1113].tobytes()
+    assert all(rows[m].tobytes() == rows[m + 4].tobytes() for m in range(1110, 1196))
+
+
+def test_stepped_orbits_end_early_with_the_stepped_blocks():
+    # period 1 (z^2), 2 and 4 above, blend_half, and (1 + z^2)/2, which
+    # never repeats from the circle; at the block edges and past them
+    circle = np.exp(2j * np.pi * (np.arange(16) + 0.5) / 16)
+    shapes = [ZSQ, de.gallery_symbol("blend_half"), SIGNED_ZEROS, SUBNORMALS,
+              de.Polynomial([0.5, 0.0, 0.5])]
+    for s in shapes:
+        for seeds in (np.array([0.3 + 0.2j]), GRID_25, circle):
+            rows = max(1, symbols.BLOCK_POINTS // len(seeds))
+            want = stepped_orbit(s, seeds, max(rows + 1, 4000))
+            for n in (1, rows - 1, rows, rows + 1, 4000):
+                check_engine_matches_stepping(s, seeds, n, want)
+
+
+def test_repeating_orbit_is_not_evaluated_to_the_end():
+    counting = CountingSymbol(ZSQ)
+    blocks = list(orbit_blocks(counting, GRID_25, 10**5))
+    assert counting.calls <= 64
+    assert sum(len(b) for _, b in blocks) == 10**5
+    assert all(b.flags.writeable and b.shape[1] == 25 for _, b in blocks)
+    assert np.all(blocks[-1][1][-1] == 0.0)
+
+
+def test_stepped_orbit_leaving_the_disc_raises():
+    # the product repels from the circle, so rounding moves circle seeds out
+    s = de.Blaschke(0.3, [0.0, 0.5 + 0.2j])
+    seeds = de.ergodicity._boundary_seeds(0.0, 8)
+    with pytest.raises(de.SymbolError, match="orbit leaves the closed disc at step 26"):
+        de.density_sweep(s, seeds, 0.0, [0.1], 2000)
+    check_engine_matches_stepping(s, seeds, 2000)  # the plain loop's first step out
+    # one seed, in Python complex arithmetic
+    with pytest.raises(de.SymbolError, match="orbit leaves the closed disc at step"):
+        de.iterate(s, cmath.exp(2j), 1000)
+    check_engine_matches_stepping(s, [cmath.exp(2j)], 1000)
 
 
 def test_closed_form_long_orbits_do_not_drift():
