@@ -842,36 +842,3 @@ def verdict(s: Symbol, space: str, budgets: VerdictBudgets | None = None,
     if isinstance(cls, dynamics.InteriorDW):
         return _interior_verdict(s, space, cls, budgets)
     return _boundary_verdict(s, space, cls, budgets)
-
-
-# ---------------------------------------------------------------------------
-# CSV emission
-
-def format_float(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
-def cesaro_csv_rows(trace: CesaroTrace):
-    """Plot-ready rows: n, orbit point, running mean (real/imaginary parts)."""
-    yield "n,orbit_re,orbit_im,mean_re,mean_im"
-    for m in range(trace.n):
-        w = trace.orbit[m]
-        mu = trace.partial_means[m]
-        yield ",".join([str(m + 1), format_float(w.real), format_float(w.imag),
-                        format_float(mu.real), format_float(mu.imag)])
-
-
-def density_csv_rows(estimates: list):
-    yield "seed_re,seed_im,radius,n,hits,estimate,running_min_ratio"
-    for d in estimates:
-        yield ",".join([
-            format_float(d.z.real), format_float(d.z.imag),
-            format_float(d.neighborhood_radius), str(d.n), str(d.hits),
-            format_float(d.estimate), format_float(d.running_min_ratio),
-        ])
-
-
-def weyl_csv_rows(report: WeylReport):
-    yield "j,abs_mean"
-    for j, value in enumerate(report.per_j, start=1):
-        yield f"{j},{format_float(value)}"

@@ -6,6 +6,7 @@ criteria and asserted.
 """
 
 import cmath
+import json
 import math
 import time
 
@@ -13,6 +14,7 @@ import numpy as np
 
 import disc_ergodics as de
 import invariants
+from disc_ergodics import cli
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 SQRT2M1 = math.sqrt(2.0) - 1.0
@@ -224,3 +226,19 @@ def test_criterion_12_certificates_before_experiments():
     assert "sup_distance_last" in dict(v.evidence)
     _report(12, "certificates before experiments", elapsed, 0.25,
             f"density certified at steps {steps}")
+
+
+def test_criterion_13_report_writing(tmp_path):
+    path = tmp_path / "hyperbolic.json"
+    path.write_text(json.dumps(de.gallery_document("hyperbolic")))
+    t0 = time.perf_counter()
+    assert cli.main(["cesaro", "--symbol", str(path), "--N", "100000",
+                     "--out", str(tmp_path)]) == 0
+    elapsed = time.perf_counter() - t0
+    lines = (tmp_path / "cesaro.csv").read_text().splitlines()
+    assert len(lines) == 100_001
+    trace = de.cesaro_apply(de.gallery_symbol("hyperbolic"), de.Monomial(1), 0, 100_000)
+    last = lines[-1].split(",")
+    assert last[0] == "100000"
+    assert complex(float(last[3]), float(last[4])) == trace.final
+    _report(13, "report writing", elapsed, 1.0, f"{len(lines) - 1} rows")

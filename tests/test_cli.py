@@ -1,9 +1,10 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
-from disc_ergodics import cli, dynamics, gallery
+from disc_ergodics import cli, dynamics, ergodicity, gallery
 
 
 def _write_gallery(tmp_path, name):
@@ -159,6 +160,74 @@ def test_orbit_leaving_the_disc_exits_one(tmp_path, capsys):
                      "--N", "2000", "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err == "error: orbit leaves the closed disc at step 26\n"
     assert not (tmp_path / "density.csv").exists()
+
+
+def test_density_without_a_seed_exits_one(tmp_path, capsys):
+    # tangent attracts to z0 = 1, the only seed of --seeds 1
+    sym = _write_gallery(tmp_path, "tangent")
+    assert cli.main(["density", "--symbol", sym, "--seeds", "1", "--N", "100",
+                     "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "coincides with z0" in err and "--seeds must be at least 2" in err
+    assert not (tmp_path / "density.csv").exists()
+
+
+_SPECIAL_DOUBLES = [-0.0, 5e-324, 2.2250738585072014e-308, 1.0 - 2.0**-53,
+                    1e300, float("inf"), float("nan"), -float("inf")]
+
+
+@pytest.mark.parametrize("rows", [0, 1, 1023, 1024, 1025, 2049])
+def test_write_csv_matches_one_format_per_float(tmp_path, rows):
+    # a count column, then random doubles over the exponent range with the
+    # special doubles at every seventh place
+    rng = np.random.default_rng(rows)
+    values = rng.standard_normal(3 * rows) * 10.0 ** rng.integers(-300, 300, 3 * rows)
+    values[::7] = np.resize(_SPECIAL_DOUBLES, values[::7].size)
+    table = np.column_stack((np.arange(1, rows + 1), values.reshape(rows, 3)))
+    path = tmp_path / "t.csv"
+    cli._write_csv(str(path), "n,a,b,c", "%d,%.17g,%.17g,%.17g", table)
+    expected = "n,a,b,c\n" + "".join(
+        ",".join([str(int(r[0]))] + [format(x, ".17g") for x in r[1:]]) + "\n"
+        for r in table.tolist())
+    assert path.read_bytes() == expected.encode()
+
+
+def test_cesaro_csv_round_trips_the_trace(tmp_path):
+    sym = _write_gallery(tmp_path, "parab")
+    assert cli.main(["cesaro", "--symbol", sym, "--f", "monomial:2", "--z", "0.3,0.4",
+                     "--N", "3000", "--out", str(tmp_path)]) == 0
+    trace = ergodicity.cesaro_apply(gallery.gallery_symbol("parab"), ergodicity.Monomial(2),
+                                    0.3 + 0.4j, 3000)
+    lines = (tmp_path / "cesaro.csv").read_text().splitlines()[1:]
+    table = np.array([[float(x) for x in line.split(",")] for line in lines])
+    assert np.array_equal(table[:, 0], np.arange(1, 3001))
+    for column, expected in ((1, trace.orbit.real), (2, trace.orbit.imag),
+                             (3, trace.partial_means.real), (4, trace.partial_means.imag)):
+        assert table[:, column].tobytes() == expected.tobytes()
+
+
+def _run_recorded(argv, out, capsys):
+    code = cli.main(argv + ["--out", str(out)])
+    captured = capsys.readouterr()
+    files = {p.name: p.read_bytes() for p in sorted(out.glob("*"))} if out.exists() else {}
+    return code, captured.out, captured.err, files
+
+
+def test_parser_is_built_once_and_reused(tmp_path, capsys):
+    sym = _write_gallery(tmp_path, "rot_golden")
+    calls = {"usage": ["cesaro", "--symbol", sym, "--N", "0"],
+             "cesaro": ["cesaro", "--symbol", sym, "--N", "500"],
+             "weyl": ["weyl", "--symbol", sym, "--N", "500"]}
+    runs = {}
+    for order in (("usage", "cesaro", "weyl"), ("weyl", "cesaro", "usage")):
+        for name in order:
+            out = tmp_path / "-".join(order) / name
+            runs.setdefault(name, []).append(_run_recorded(calls[name], out, capsys))
+    for name, (first, second) in runs.items():
+        assert first == second, name
+    assert runs["usage"][0][0] == 1 and runs["cesaro"][0][0] == runs["weyl"][0][0] == 0
+    assert cli._parser.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("argv", [
