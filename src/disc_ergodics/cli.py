@@ -42,7 +42,7 @@ import sys
 import numpy as np
 
 from . import dynamics, ergodicity, gallery, weighted
-from .symbols import SymbolError, iterate, parse_symbol
+from .symbols import Blaschke, SymbolError, iterate, parse_symbol
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -192,6 +192,9 @@ def _cmd_density(args) -> int:
         if not isinstance(cls, (dynamics.InteriorDW, dynamics.HyperbolicDW,
                                 dynamics.ParabolicDW)):
             raise ConfigError("symbol has no attracting point; pass --z0")
+        if isinstance(cls, dynamics.InteriorDW) and isinstance(s, Blaschke):
+            raise ConfigError("a Blaschke product keeps the boundary seeds on the unit circle, "
+                              "which repels rounding; they never reach its interior point z0")
         z0 = cls.z0
     seeds = ergodicity._boundary_seeds(z0, args.seeds)
     if not len(seeds):
@@ -329,6 +332,10 @@ def _parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    for i in range(len(argv) - 1, 0, -1):  # argparse takes "--z -0.2,0.7" for two flags
+        if argv[i - 1] in ("--z", "--z0") and argv[i][:1] == "-" and argv[i][1:2] != "-":
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     try:
         args = _parser().parse_args(argv)
         os.makedirs(args.out, exist_ok=True)

@@ -3,9 +3,13 @@
 Every non-identity self-map of the disc that is not an elliptic automorphism
 has a unique Denjoy-Wolff point: the attracting fixed point in the closed
 disc toward which all forward orbits converge locally uniformly.  This module
-locates it (closed form for Moebius maps, iteration plus Newton polishing
-otherwise), measures angular derivatives at boundary fixed points, and sorts
+locates it, measures angular derivatives at boundary fixed points, and sorts
 symbols into the five dynamical classes that drive the ergodicity verdicts.
+
+Linear-fractional symbols are classified from the normal form of
+``symbols._moebius_normal_form`` (fixed points p, q and kappa = phi'(p)),
+evaluated in doubles; the orbit engine evaluates it at 40 digits.  Other
+symbols are classified by iteration plus Newton polishing.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from .symbols import (
     Symbol,
     Taylor,
     _as_moebius,
+    _moebius_normal_form,
     disc_grid,
     orbit_blocks,
     rotation_fraction,
@@ -133,35 +138,35 @@ class DWResult:
 # ---------------------------------------------------------------------------
 # Moebius fixed points
 
-def moebius_fixed_points(m: Moebius) -> list[tuple[complex, int]]:
-    """Finite fixed points of a Moebius map as (point, multiplicity) pairs.
+def _double_normal_form(m: Moebius) -> tuple[complex, complex | None, complex]:
+    """p, q and kappa of ``_moebius_normal_form`` in doubles, with a
+    (numerically) double root merged: p = q = (a - d)/2c, kappa = 1.
 
-    Roots of c z^2 + (d - a) z - b = 0 by the cancellation-stable quadratic
-    formula; a double root is reported once with multiplicity 2.  An affine
-    map (c = 0) contributes its single finite fixed point.
+    (d - a)^2 + 4bc equals tr^2 - 4 det, so a small value relative to |det|
+    means a (numerically) parabolic map; below the cancellation noise floor
+    of the sum the split roots carry no information either way.
     """
-    if _is_identity_probe(m):
-        raise ValueError("the identity fixes every point")
-    A, B, C = m.c, m.d - m.a, -m.b
-    if abs(A) <= 1e-15 * max(1.0, abs(B), abs(C)):
-        if B == 0:
-            raise ValueError("affine map with a = d and b != 0 has no finite fixed point")
-        return [(-C / B, 1)]
-    disc = B * B - 4.0 * A * C
-    # disc equals tr^2 - 4 det, so |disc| small relative to |det| means a
-    # (numerically) parabolic map; below the cancellation noise floor of the
-    # subtraction the split roots carry no information either way.
-    noise_floor = 9e-16 * max(abs(B) ** 2, 4.0 * abs(A) * abs(C))
-    if abs(disc) <= max(4e-9 * abs(m.det), noise_floor):
-        return [(-B / (2.0 * A), 2)]
-    sq = cmath.sqrt(disc)
-    # Pick the sqrt branch that avoids cancellation in B + sq.
-    if (B.conjugate() * sq).real < 0:
-        sq = -sq
-    q = -0.5 * (B + sq)
-    r1 = q / A
-    r2 = C / q
-    return [(r1, 1), (r2, 1)]
+    p, q, kappa = _moebius_normal_form(m.a, m.b, m.c, m.d)
+    if p is None:
+        raise ValueError("an affine map with a = d fixes no finite point or every point")
+    B, bc = m.d - m.a, m.b * m.c
+    noise_floor = 9e-16 * max(abs(B) ** 2, 4.0 * abs(bc))
+    if q is not None and abs(B * B + 4.0 * bc) <= max(4e-9 * abs(m.det), noise_floor):
+        p = q = -B / (2.0 * m.c)
+        kappa = 1.0
+    return p, q, kappa
+
+
+def moebius_fixed_points(m: Moebius) -> list[tuple[complex, int]]:
+    """Finite fixed points of a Moebius map as (point, multiplicity) pairs,
+    the Denjoy-Wolff candidate first.
+
+    A double root is reported once with multiplicity 2.  An affine map
+    (c = 0) contributes its single finite fixed point, and raises ValueError
+    when a = d (a translation, or the identity).
+    """
+    p, q, _ = _double_normal_form(m)
+    return [(p, 2)] if p == q else [(p, 1)] if q is None else [(p, 1), (q, 1)]
 
 
 def _is_identity_probe(s: Symbol, tol: float = 1e-12) -> bool:
@@ -172,43 +177,26 @@ def _is_identity_probe(s: Symbol, tol: float = 1e-12) -> bool:
 # ---------------------------------------------------------------------------
 # Denjoy-Wolff point
 
-def _moebius_dw(m: Moebius) -> DWResult:
-    fps = moebius_fixed_points(m)
-    candidates = []
-    for p, mult in fps:
-        if abs(p) > 1.0 + 1e-8:
-            continue
-        dp = abs(complex(m.derivative(p)))
-        candidates.append((p, mult, dp))
-    if not candidates:
-        raise UnclassifiableError("no fixed point of the Moebius map on the closed disc")
-    for p, mult, dp in candidates:
-        if mult == 2 or dp <= 1.0 + 1e-12:
-            if mult != 2 and dp > 1.0 - 1e-12 and abs(p) < 1.0 - 1e-8:
-                # interior fixed point with unimodular multiplier: elliptic
-                raise EllipticInputError(
-                    "interior fixed point with unimodular multiplier (elliptic automorphism)"
-                )
-            residual = abs(complex(m(p)) - p)
-            return DWResult(p, 0, residual, min(dp, 1.0))
-    raise UnclassifiableError("every fixed point on the closed disc is repelling")
-
-
 def denjoy_wolff(s: Symbol, max_iter: int = DW_MAX_ITER_DEFAULT,
                  tol: float = DW_TOL_DEFAULT) -> DWResult:
     """Locate the Denjoy-Wolff point.
 
-    Moebius maps use the closed form (the fixed point with derivative modulus
-    at most one on the attracting side).  Other symbols iterate from 0 until
-    successive steps shrink below ``tol``; the rate estimate is the last
-    ratio of step sizes.  Parabolic-type convergence (~C/n) can exhaust the
-    budget at tight tolerances, in which case NonConvergenceError reports the
-    last point rather than fabricating an answer.
+    Moebius maps use the attracting fixed point of their normal form; other
+    symbols iterate from 0 until successive steps shrink below ``tol``, and
+    the rate estimate is the last ratio of step sizes.  Parabolic-type
+    convergence (~C/n) can exhaust the budget at tight tolerances; then
+    NonConvergenceError reports the last point instead of an answer.
     """
     if _is_identity_probe(s):
         raise EllipticInputError("the identity has no Denjoy-Wolff point")
     if isinstance(s, Moebius):
-        return _moebius_dw(s)
+        p, q, kappa = _double_normal_form(s)
+        if abs(p) > 1.0 + 1e-8:
+            raise UnclassifiableError("no fixed point of the Moebius map on the closed disc")
+        if p != q and abs(kappa) > 1.0 - 1e-12 and abs(p) < 1.0 - 1e-8:
+            raise EllipticInputError("interior fixed point with unimodular multiplier "
+                                     "(elliptic automorphism)")
+        return DWResult(p, 0, abs(complex(s(p)) - p), min(abs(kappa), 1.0))
     z = 0.0 + 0.0j
     prev_step = None
     rate = math.nan
@@ -301,45 +289,33 @@ def classify(s: Symbol) -> SymbolClass:
     """Sort a symbol into identity / elliptic automorphism / interior DW /
     hyperbolic DW / parabolic DW.
 
-    Automorphisms are the symbols with a Moebius form (a polynomial or Taylor
-    symbol that preserves the circle must be linear) that carries the unit
-    circle onto itself, and the degree-one Blaschke products; they are
-    classified through that form.  Everything else goes through the
-    Denjoy-Wolff search; boundary candidates are Newton-polished and verified
-    against FIXED_POINT_RESIDUAL_TOL before being believed.  Raises
+    Linear-fractional symbols are classified from their normal form: an
+    automorphism with an elliptic trace is an elliptic automorphism, and
+    otherwise the attracting fixed point is interior or on the circle.
+    Everything else goes through the Denjoy-Wolff search; boundary
+    candidates are Newton-polished and verified against
+    FIXED_POINT_RESIDUAL_TOL before being believed.  Raises
     UnclassifiableError instead of guessing when residuals stay large.
     """
     if _is_identity_probe(s):
         return Identity()
     mo = _as_moebius(s)
-    if mo is not None and (isinstance(s, Blaschke) or moebius_image_circle(mo).is_unit_circle):
+    if mo is not None:
+        p, _, kappa = _double_normal_form(mo)
         # Trace test: tr^2/det is real for an automorphism, below 4 exactly
         # in the elliptic case.  It needs no root extraction, so it stays
         # reliable where nearly-coalescing fixed points would not.
-        tau = (mo.a + mo.d) ** 2 / mo.det
-        if tau.real < 4.0 - 1e-9:
-            fps = moebius_fixed_points(mo)
-            p = min((p for p, _ in fps), key=abs)
-            if abs(p) >= 1.0:
-                raise UnclassifiableError(
-                    "elliptic trace but no interior fixed point found"
-                )
-            lam = complex(mo.derivative(p))
-            if abs(abs(lam) - 1.0) > 1e-6:
-                raise UnclassifiableError(
-                    f"automorphism multiplier modulus {abs(lam):.8g} is not 1"
-                )
-            lam /= abs(lam)
-            period = _rotation_period(lam)
-            return EllipticAutomorphism(p, lam, period)
-        dw = _moebius_dw(mo)
-        return _boundary_class(s, dw.point)
-    if mo is not None:
-        dw = _moebius_dw(mo)
-        point = dw.point
-        if abs(point) < 1.0 - BOUNDARY_PROXIMITY_TOL:
-            return InteriorDW(point, abs(complex(s.derivative(point))))
-        return _boundary_class(s, point)
+        if ((isinstance(s, Blaschke) or moebius_image_circle(mo).is_unit_circle)
+                and ((mo.a + mo.d) ** 2 / mo.det).real < 4.0 - 1e-9):
+            if abs(p) >= 1.0 or abs(abs(kappa) - 1.0) > 1e-6:
+                raise UnclassifiableError(f"elliptic trace, but |phi'({p!r})| = {abs(kappa):.8g}")
+            lam = kappa / abs(kappa)
+            return EllipticAutomorphism(p, lam, _rotation_period(lam))
+        if abs(p) < 1.0 - BOUNDARY_PROXIMITY_TOL:
+            return InteriorDW(p, abs(kappa))
+        if abs(p) > 1.0 + 1e-8:
+            raise UnclassifiableError("no fixed point of the Moebius map on the closed disc")
+        return _boundary_class(s, p)
     # General route: iterate, then decide interior vs boundary.
     taylor = isinstance(s, Taylor)
     try:

@@ -486,20 +486,46 @@ def _as_moebius(s: Symbol) -> Moebius | None:
     return s.__dict__["_moebius"]
 
 
+def _moebius_normal_form(a, b, c, d, sqrt=cmath.sqrt):
+    """Fixed points p, q and multiplier kappa = phi'(p) of z -> (az + b)/(cz + d)
+    (Cowen-MacCluer 1995, ch. 0), in the precision of the coefficients;
+    ``sqrt`` is that precision's square root.
+
+    The fixed points are the roots of c z^2 + (d - a) z - b, by the
+    cancellation-stable quadratic formula, and kappa = (ad - bc)/(cp + d)^2.
+    p attracts (|kappa| <= 1), except that of two fixed points with |kappa|
+    within 1e-12 of 1 (elliptic, up to rounding) p is the one in the disc.
+    An affine map (c = 0) has q = None and kappa = a/d, and p = None when
+    a = d.
+    """
+    if c == 0:
+        return (None if a == d else b / (d - a)), None, a / d
+    B = d - a
+    root = sqrt(B * B + 4 * b * c)
+    if (B.conjugate() * root).real < 0:
+        root = -root
+    h = -(B + root) / 2  # |h| >= |B|/2, so neither root -b/h nor h/c cancels
+    p, q, det = (-b / h if h else h), h / c, a * d - b * c
+    kappa = det / (c * p + d) ** 2
+    if (abs(q) < abs(p) if abs(abs(kappa) - 1) <= 1e-12 else abs(kappa) > 1):
+        p, q = q, p
+        kappa = det / (c * p + d) ** 2
+    return p, q, kappa
+
+
 class _ClosedForm:
     """phi^m of a linear-fractional map phi, from its normal form
-    (Cowen-MacCluer 1995, ch. 0).
+    (``_moebius_normal_form``).
 
     An affine map is y -> kappa y + gamma with y = z.  Otherwise q is a
     fixed point with |phi'(q)| >= 1, and y = 1/(z - q) conjugates phi to
-    y -> kappa y + gamma, where kappa = phi'(p) = (cq + d)/(cp + d) at the
-    other fixed point p and gamma = c/(cp + d).  Either way
-    y_m = kappa^m y + gamma S_m, S_m = (kappa^m - 1)/(kappa - 1) (= m when
-    kappa = 1), which covers parabolic maps (p = q) and nearly coalescing
-    fixed points alike.  |kappa| <= 1, so kappa^m cannot overflow (about q
-    it would), except that of two fixed points with |kappa| within 1e-12 of
-    1 (elliptic, up to rounding) p is the one in the disc; kappa^m - 1 is
-    formed without cancellation.  Seeds on p or q are returned as they are.
+    y -> kappa y + gamma, where kappa = phi'(p) at the other fixed point p
+    and gamma = c/(cp + d).  Either way y_m = kappa^m y + gamma S_m,
+    S_m = (kappa^m - 1)/(kappa - 1) (= m when kappa = 1), which covers
+    parabolic maps (p = q) and nearly coalescing fixed points alike.
+    |kappa| <= 1 up to rounding, so kappa^m cannot overflow (about q it
+    would); kappa^m - 1 is formed without cancellation.  Seeds on p or q are
+    returned as they are.
 
     p, q and kappa are those of the double coefficients, found at 40 digits
     and rounded: the map iterated is the one that stepping iterates.
@@ -514,18 +540,8 @@ class _ClosedForm:
     def __init__(self, m: Moebius):
         with mp.workdps(40):
             a, b, c, d = (mp.mpc(v) for v in (m.a, m.b, m.c, m.d))
-            if c == 0:
-                p, q, kappa, gamma = (None if a == d else b / (d - a)), None, a / d, b / d
-            else:
-                root = mp.sqrt((d - a) ** 2 + 4 * b * c)
-                p, q = (a - d + root) / (2 * c), (a - d - root) / (2 * c)
-                kappa = (c * q + d) / (c * p + d)
-                # p attracts; if |kappa| is 1 up to the coefficients'
-                # rounding (an elliptic pair), p is the one in the disc
-                if (abs(q) < abs(p) if abs(mp.log(abs(kappa))) <= 1e-12
-                        else abs(kappa) > 1):
-                    p, q, kappa = q, p, 1 / kappa
-                gamma = c / (c * p + d)
+            p, q, kappa = _moebius_normal_form(a, b, c, d, mp.sqrt)
+            gamma = b / d if q is None else c / (c * p + d)
             self.p, self.q = (None if v is None else complex(v) for v in (p, q))
             self.gamma, self.log_r = complex(gamma), float(mp.log(abs(kappa)))
             turns = mp.arg(kappa) / (2 * mp.pi)

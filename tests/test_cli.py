@@ -153,13 +153,54 @@ def test_library_errors_exit_one(tmp_path, capsys, monkeypatch, exc):
 
 
 def test_orbit_leaving_the_disc_exits_one(tmp_path, capsys):
-    # rounding moves circle seeds off this product's repelling circle
+    # rounding moves circle seeds off this product's repelling circle; with
+    # --z0 given the command steps them
     sym = tmp_path / "b.json"
     sym.write_text(json.dumps({"kind": "blaschke", "rotation": 0.3, "zeros": [0, [0.5, 0.2]]}))
-    assert cli.main(["density", "--symbol", str(sym), "--radius", "0.1", "--seeds", "8",
-                     "--N", "2000", "--out", str(tmp_path)]) == 1
+    assert cli.main(["density", "--symbol", str(sym), "--z0", "0", "--radius", "0.1",
+                     "--seeds", "8", "--N", "2000", "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err == "error: orbit leaves the closed disc at step 26\n"
     assert not (tmp_path / "density.csv").exists()
+
+
+def test_density_refuses_circle_seeds_of_an_interior_blaschke_product(tmp_path, capsys,
+                                                                       monkeypatch):
+    # the product maps the circle onto itself: its boundary seeds can never
+    # reach the interior attracting point, so nothing is stepped
+    def fail(*args, **kwargs):
+        raise AssertionError("density_sweep called")
+
+    monkeypatch.setattr(ergodicity, "density_sweep", fail)
+    sym = tmp_path / "b.json"
+    sym.write_text(json.dumps({"kind": "blaschke", "rotation": 0.0,
+                               "zeros": [[0.3, 0.0], [0.5, 0.2]]}))
+    assert isinstance(dynamics.classify(cli._load_symbol(str(sym))), dynamics.InteriorDW)
+    assert cli.main(["density", "--symbol", str(sym), "--radius", "0.1", "--seeds", "8",
+                     "--N", "2000", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "unit circle" in err and "repels rounding" in err
+    assert not (tmp_path / "density.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["cesaro", "--z", "-0.2,0.7", "--format", "report"],
+    ["cesaro", "--z", "-0.2-0.7j"],
+    ["density", "--z0", "-1,0", "--seeds", "4"],
+    ["weyl", "--z", "-1,0"],
+], ids=lambda argv: " ".join(argv))
+def test_seeds_may_start_with_a_minus_sign(tmp_path, capsys, argv):
+    # argparse alone reads "-0.2,0.7" as a flag; the value must mean what
+    # the --z=-0.2,0.7 form means
+    sym = _write_gallery(tmp_path, "rot_golden")
+    runs = []
+    for i, args in enumerate((argv, argv[:1] + [f"{argv[1]}={argv[2]}"] + argv[3:])):
+        runs.append(_run_recorded([args[0], "--symbol", sym, "--N", "50"] + args[1:],
+                                  tmp_path / str(i), capsys))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and runs[0][3]
+    if "--format" in argv:
+        assert cli.load_report(str(tmp_path / "0" / "cesaro_report.json"))["z"] == [-0.2, 0.7]
 
 
 def test_density_without_a_seed_exits_one(tmp_path, capsys):

@@ -2,17 +2,20 @@ import cmath
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 import disc_ergodics as de
-from disc_ergodics import dynamics
-from disc_ergodics.symbols import boundary_points
+from disc_ergodics import dynamics, symbols
+from disc_ergodics.symbols import _as_moebius, _closed_form, boundary_points
 from invariants import (
+    SEED,
     check_boundary_periodic_points,
     check_classify_conjugation_invariance,
     random_automorphism,
     random_circle_symbol,
+    random_linear_fractional,
 )
 
 HALF = de.Moebius(1, 0, 0, 2)
@@ -189,6 +192,142 @@ def test_classify_taylor_boundary_hyperbolic():
     assert isinstance(cls, de.HyperbolicDW)
     assert abs(cls.z0 - 1.0) <= 1e-6
     assert cls.angular_derivative == pytest.approx(0.82, abs=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# the Moebius normal form against reference implementations
+#
+# ``symbols._moebius_normal_form`` is the only place that finds the fixed
+# points and multiplier of a linear-fractional map.  The references below
+# find them independently: a quadratic in doubles with its own root
+# selection and classification branches, and 40-digit roots with the
+# multiplier (cq + d)/(cp + d) for the closed-form orbit engine.
+
+def _reference_fixed_points(m):
+    # roots of c z^2 + (d - a) z - b in doubles, a near-double root merged
+    A, B, C = m.c, m.d - m.a, -m.b
+    if abs(A) <= 1e-15 * max(1.0, abs(B), abs(C)):
+        return [(-C / B, 1)]
+    disc = B * B - 4.0 * A * C
+    noise_floor = 9e-16 * max(abs(B) ** 2, 4.0 * abs(A) * abs(C))
+    if abs(disc) <= max(4e-9 * abs(m.det), noise_floor):
+        return [(-B / (2.0 * A), 2)]
+    sq = cmath.sqrt(disc)
+    if (B.conjugate() * sq).real < 0:
+        sq = -sq
+    q = -0.5 * (B + sq)
+    return [(q / A, 1), (C / q, 1)]
+
+
+def _reference_dw(m):
+    # the first fixed point on the closed disc that is double or attracting
+    for p, mult in _reference_fixed_points(m):
+        dp = abs(complex(m.derivative(p)))
+        if abs(p) <= 1.0 + 1e-8 and (mult == 2 or dp <= 1.0 + 1e-12):
+            assert mult == 2 or dp <= 1.0 - 1e-12 or abs(p) >= 1.0 - 1e-8, "elliptic"
+            return p
+    raise AssertionError("no attracting fixed point on the closed disc")
+
+
+def _reference_classify(s):
+    # the two linear-fractional branches of classify
+    mo = _as_moebius(s)
+    if isinstance(s, de.Blaschke) or dynamics.moebius_image_circle(mo).is_unit_circle:
+        if ((mo.a + mo.d) ** 2 / mo.det).real < 4.0 - 1e-9:
+            p = min((p for p, _ in _reference_fixed_points(mo)), key=abs)
+            lam = complex(mo.derivative(p))
+            lam /= abs(lam)
+            return de.EllipticAutomorphism(p, lam, dynamics._rotation_period(lam))
+        return dynamics._boundary_class(s, _reference_dw(mo))
+    p = _reference_dw(mo)
+    if abs(p) < 1.0 - dynamics.BOUNDARY_PROXIMITY_TOL:
+        return de.InteriorDW(p, abs(complex(s.derivative(p))))
+    return dynamics._boundary_class(s, p)
+
+
+def _reference_closed_form(m):
+    # the closed-form orbit engine's normal form, roots and multiplier at 40
+    # digits, with its snaps
+    form = object.__new__(symbols._ClosedForm)
+    with mp.workdps(40):
+        a, b, c, d = (mp.mpc(v) for v in (m.a, m.b, m.c, m.d))
+        if c == 0:
+            p, q, kappa, gamma = (None if a == d else b / (d - a)), None, a / d, b / d
+        else:
+            root = mp.sqrt((d - a) ** 2 + 4 * b * c)
+            p, q = (a - d + root) / (2 * c), (a - d - root) / (2 * c)
+            kappa = (c * q + d) / (c * p + d)
+            if abs(q) < abs(p) if abs(mp.log(abs(kappa))) <= 1e-12 else abs(kappa) > 1:
+                p, q, kappa = q, p, 1 / kappa
+            gamma = c / (c * p + d)
+        form.p, form.q = (None if v is None else complex(v) for v in (p, q))
+        form.gamma, form.log_r = complex(gamma), float(mp.log(abs(kappa)))
+        turns = mp.arg(kappa) / (2 * mp.pi)
+        form.turns = (float(turns), float(turns - float(turns)))
+    if abs(form.log_r) <= symbols.ROTATION_SNAP_TOL:
+        form.log_r = 0.0
+    ratio = symbols.rotation_fraction(form.turns[0])
+    if abs(form.turns[0] - ratio) <= symbols.ROTATION_SNAP_TOL:
+        form.turns = ratio
+    form.kappa_m1 = form.powers(np.ones(1, dtype=np.int64))[1][0]
+    return form
+
+
+def _multiplier(cls):
+    if isinstance(cls, de.EllipticAutomorphism):
+        return cls.multiplier
+    return cls.multiplier_modulus if isinstance(cls, de.InteriorDW) else cls.angular_derivative
+
+
+def _linear_fractional_cases(monkeypatch):
+    # the validation grid costs 2 ms a symbol and draws nothing from the
+    # generator, whose maps are self-maps by construction
+    yield from ((name, de.gallery_symbol(name)) for name in de.GALLERY_NAMES
+                if _as_moebius(de.gallery_symbol(name)) is not None)
+    monkeypatch.setattr(de.Symbol, "_validate_self_map", lambda self: None)
+    rng = np.random.default_rng(SEED + 9)
+    for i in range(2000):
+        yield f"case {i}", random_linear_fractional(rng)[0]
+
+
+def test_normal_form_matches_the_references(monkeypatch):
+    seeds = np.array([0.0, 0.3 + 0.4j, -0.5j, 0.9, 1.0, cmath.exp(2j)])
+    steps = np.array([1, 7, 10**3, 10**6])
+    kinds = set()
+    for name, s in _linear_fractional_cases(monkeypatch):
+        got, want = de.classify(s), _reference_classify(s)
+        kinds.add(got.kind)
+        assert got.kind == want.kind, name
+        assert getattr(got, "period", None) == getattr(want, "period", None), name
+        point = got.fixed_point if isinstance(got, de.EllipticAutomorphism) else got.z0
+        want_point = want.fixed_point if isinstance(want, de.EllipticAutomorphism) else want.z0
+        assert abs(point - want_point) <= 1e-12, name
+        assert abs(_multiplier(got) - _multiplier(want)) <= 1e-12, name
+        form, ref = _closed_form(s), _reference_closed_form(_as_moebius(s))
+        # bit for bit, except the low double of unsnapped turns: its last
+        # bits lie below the 40-digit working precision, where two formulas
+        # for kappa round differently (3e-43 apart in one case here)
+        assert repr((form.p, form.q, form.gamma, form.log_r)) \
+            == repr((ref.p, ref.q, ref.gamma, ref.log_r)), name
+        if isinstance(ref.turns, Fraction):
+            assert form.turns == ref.turns, name
+        else:
+            assert form.turns[0] == ref.turns[0], name
+            assert abs(form.turns[1] - ref.turns[1]) <= 1e-39, name
+        assert form.iterates(seeds, steps).tobytes() == ref.iterates(seeds, steps).tobytes(), name
+    assert kinds == {"elliptic_automorphism", "interior_dw", "hyperbolic_dw", "parabolic_dw"}
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "moebius", "a": [2, 0], "b": [1, 0], "c": [1, 0], "d": [2, 0]},
+    {"kind": "blaschke", "rotation": 0.3, "zeros": [[0.5, 0.2]]},
+    {"kind": "polynomial", "coeffs": [[0.2, 0.1], [0.5, 0.3]]},
+], ids=lambda doc: doc["kind"])
+def test_classify_leaves_the_closed_form_unbuilt(doc):
+    # the 40-digit form costs about ten times a classification in doubles
+    s = de.parse_symbol(doc)
+    de.classify(s)
+    assert "_closed_form" not in s.__dict__
 
 
 # ---------------------------------------------------------------------------

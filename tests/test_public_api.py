@@ -1,7 +1,9 @@
 """The documented API exists: every ``de.<name>`` in the demos and the README
-resolves on the package, so removing a name they use fails here rather than
-only when a demo is run."""
+resolves on the package, and so does every function the benchmark's tracer
+wraps, so removing a name they use fails here rather than only when a demo or
+the benchmark is run."""
 
+import importlib.util
 import pathlib
 import re
 
@@ -19,3 +21,15 @@ def test_documented_names_resolve(path):
     assert names, f"{path.name} uses no de.<name>"
     missing = sorted(name for name in names if not hasattr(de, name))
     assert not missing, f"{path.name} uses names missing from disc_ergodics: {missing}"
+
+
+def test_traced_names_resolve():
+    # The benchmark's tracer wraps these functions by name; a name removed
+    # from the package fails here rather than in a traced benchmark run.
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TARGETS
+    missing = [f"{module.__name__}.{name}" for module, name, *_ in tracing.TARGETS
+               if not callable(getattr(module, name, None))]
+    assert not missing, f"perfbench/tracing.py wraps names missing from the package: {missing}"
