@@ -187,14 +187,15 @@ def _cmd_cesaro(args) -> int:
 def _cmd_density(args) -> int:
     s = _load_symbol(args.symbol)
     z0 = args.z0
+    cls = dynamics.classify(s) if z0 is None or isinstance(s, Blaschke) else None
+    # whatever the target, before any seed is stepped
+    if isinstance(cls, dynamics.InteriorDW) and isinstance(s, Blaschke):
+        raise ConfigError("a Blaschke product keeps the boundary seeds on the unit circle, "
+                          "which repels rounding; they never reach its interior point z0")
     if z0 is None:
-        cls = dynamics.classify(s)
         if not isinstance(cls, (dynamics.InteriorDW, dynamics.HyperbolicDW,
                                 dynamics.ParabolicDW)):
             raise ConfigError("symbol has no attracting point; pass --z0")
-        if isinstance(cls, dynamics.InteriorDW) and isinstance(s, Blaschke):
-            raise ConfigError("a Blaschke product keeps the boundary seeds on the unit circle, "
-                              "which repels rounding; they never reach its interior point z0")
         z0 = cls.z0
     seeds = ergodicity._boundary_seeds(z0, args.seeds)
     if not len(seeds):

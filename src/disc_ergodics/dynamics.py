@@ -23,12 +23,13 @@ import numpy as np
 from .symbols import (
     Blaschke,
     Moebius,
-    Polynomial,
     Symbol,
     Taylor,
     _as_moebius,
+    _image_radius_bound,
     _moebius_normal_form,
     disc_grid,
+    moebius_image_circle,
     orbit_blocks,
     rotation_fraction,
 )
@@ -394,27 +395,41 @@ class BoundaryPeriodicPoint:
     residual: float
 
 
-def _wrapped_argument_gap(s: Symbol, t: np.ndarray, period: int) -> np.ndarray:
-    z = np.exp(1j * t)
-    w = z
-    for _ in range(period):
-        w = s(w)
-    return np.angle(w * np.exp(-1j * t))
+# Bisection levels resolved per array evaluation of the gap: the 2**3 - 1
+# midpoints that a bracket can need over its next three levels are evaluated
+# together.  Three measured fastest; deeper levels evaluate more midpoints
+# than their saved calls are worth.
+BISECTION_DEPTH = 3
 
 
-def _image_radius_bound(s: Symbol) -> float:
-    """A radius R with |phi| <= R on the closed disc (infinite when unknown).
+def _wrapped_argument_gap(s: Symbol, t: np.ndarray, period) -> np.ndarray:
+    """Wrapped argument gaps arg(phi^k(e^{it}) e^{-it}) in (-pi, pi] along
+    one orbit of the points e^{it}: row k - 1 holds the k-th iterate.
 
-    Exact for Moebius maps: |center| + radius of ``moebius_image_circle``.
-    The triangle inequality for polynomial and Taylor symbols.  Blaschke
-    products are unimodular on the circle.
+    Each point is stepped up to its own period (``period``: an int, or an
+    int array shaped like t), longest periods first, and its later rows are
+    nan.
     """
-    if isinstance(s, (Polynomial, Taylor)):
-        return float(sum(abs(c) for c in s.coeffs))
-    if isinstance(s, Moebius):
-        circle = moebius_image_circle(s)
-        return abs(circle.center) + circle.radius
-    return math.inf
+    period = np.broadcast_to(period, t.shape)
+    order = np.argsort(-period, kind="stable")
+    live = np.exp(1j * t[order])
+    turn_back = np.exp(-1j * t[order])
+    gaps = np.full((int(period.max()), len(t)), np.nan)
+    for k in range(1, len(gaps) + 1):
+        live = s(live[:np.count_nonzero(period >= k)])
+        gaps[k - 1, order[:len(live)]] = np.angle(live * turn_back[:len(live)])
+    return gaps
+
+
+def _midpoint_tree(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    # the midpoints of the next BISECTION_DEPTH levels, in heap order: node
+    # i bisects (l, h), node 2i + 1 then bisects (l, mid), node 2i + 2 (mid, h)
+    bounds, mids = [(lo, hi)], []
+    for i in range(2**BISECTION_DEPTH - 1):
+        left, right = bounds[i]
+        mids.append(0.5 * (left + right))
+        bounds += [(left, mids[-1]), (mids[-1], right)]
+    return np.array(mids)
 
 
 def boundary_periodic_points(s: Symbol, max_period: int,
@@ -424,20 +439,22 @@ def boundary_periodic_points(s: Symbol, max_period: int,
     A point q is reported only if it passes the residual test
     |phi^p(q) - q| <= 1e-10, which needs |phi^p(q)| >= 1 - 1e-10.  When the
     symbol maps the closed disc into a disc of radius R < 1 - 1e-10 (the
-    residual test's margin), so does every iterate, and the search returns
-    [] without sampling; R is exact for Moebius maps and the absolute
-    coefficient sum for polynomial and Taylor symbols.
+    residual test's margin; ``symbols._image_radius_bound``), so does every
+    iterate, and the search returns [] without sampling.
 
-    Otherwise, for each period, roots of phi^p(e^{it}) = e^{it} are bracketed
-    by strict sign changes of the wrapped argument gap
-    arg(phi^p(e^{it})) - t on ``samples`` equispaced angles, skipping branch
-    jumps of the wrapped argument; exact zeros of the gap are taken as they
-    are.  All brackets are bisected together, one array evaluation of the
-    gap per step, each for at most 80 steps or until it is narrower than
-    1e-14.  Every candidate must then pass the residual test, which also
-    discards argument crossings where the modulus drops inside the disc (the
-    symbol need not carry the circle onto itself).  Points are reported
-    once, with their minimal period.
+    Otherwise roots of phi^p(e^{it}) = e^{it} are bracketed by strict sign
+    changes of the wrapped argument gap arg(phi^p(e^{it})) - t on
+    ``samples`` equispaced angles, skipping branch jumps of the wrapped
+    argument; exact zeros of the gap are taken as they are.  One orbit of
+    the angles gives the gaps of every period p <= max_period.  The brackets
+    of all periods are bisected together, each for at most 80 levels or
+    until it is narrower than 1e-14: one array evaluation of the gap covers
+    the next BISECTION_DEPTH levels of every open bracket, which are then
+    resolved in order, so the roots are those of bisecting one level per
+    evaluation, bit for bit.  Every candidate must then pass the residual
+    test, which also discards argument crossings where the modulus drops
+    inside the disc (the symbol need not carry the circle onto itself).
+    Points are reported once, with their minimal period.
     """
     if max_period < 1 or max_period > 8:
         raise ValueError("max_period must be between 1 and 8")
@@ -470,33 +487,38 @@ def boundary_periodic_points(s: Symbol, max_period: int,
 
     t = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
     t_next = np.append(t[1:], 2.0 * np.pi)
-    for period in range(1, max_period + 1):
-        gaps = _wrapped_argument_gap(s, t, period)
-        g_next = np.roll(gaps, -1)
-        zeros = np.flatnonzero(gaps == 0.0)
-        brackets = np.flatnonzero((gaps * g_next < 0.0)
-                                  & (np.abs(gaps) + np.abs(g_next) < np.pi))
-        lo, hi, glo = t[brackets], t_next[brackets], gaps[brackets]
-        active = np.arange(len(brackets))
-        for _ in range(80):
-            if not len(active):
-                break
-            mid = 0.5 * (lo[active] + hi[active])
-            gm = _wrapped_argument_gap(s, mid, period)
-            left = glo[active] * gm < 0.0
+    gaps = _wrapped_argument_gap(s, t, max_period)
+    g_next = np.roll(gaps, -1, axis=1)
+    # brackets in row-major order: by period, then by angle
+    row, col = np.nonzero((gaps * g_next < 0.0) & (np.abs(gaps) + np.abs(g_next) < np.pi))
+    period, lo, hi, glo = row + 1, t[col], t_next[col], gaps[row, col]
+    active, levels = np.arange(len(col)), 0
+    while len(active) and levels < 80:
+        mids = _midpoint_tree(lo[active], hi[active])
+        periods = np.tile(period[active], len(mids))
+        gm_tree = _wrapped_argument_gap(s, mids.ravel(), periods)[
+            periods - 1, np.arange(len(periods))].reshape(mids.shape)
+        at, node = np.arange(len(active)), np.zeros(len(active), dtype=np.intp)
+        for _ in range(min(BISECTION_DEPTH, 80 - levels)):
+            idx, mid, gm = active[at], mids[node, at], gm_tree[node, at]
+            left = glo[idx] * gm < 0.0
             hit = gm == 0.0  # an exact root closes its bracket on itself
-            hi[active[left | hit]] = mid[left | hit]
-            lo[active[~left]] = mid[~left]
-            glo[active[~left]] = gm[~left]
-            active = active[~hit & (hi[active] - lo[active] >= 1e-14)]
-        for root in np.concatenate((t[zeros], 0.5 * (lo + hi))):
-            register(float(root), period)
+            hi[idx[left | hit]] = mid[left | hit]
+            lo[idx[~left]] = mid[~left]
+            glo[idx[~left]] = gm[~left]
+            keep = ~hit & (hi[idx] - lo[idx] >= 1e-14)
+            at, node = at[keep], (2 * node + 2 - left)[keep]
+        active, levels = active[at], levels + BISECTION_DEPTH
+    roots = 0.5 * (lo + hi)
+    for p in range(1, max_period + 1):
+        for root in np.concatenate((t[gaps[p - 1] == 0.0], roots[period == p])):
+            register(float(root), p)
     found.sort(key=lambda bp: math.atan2(bp.point.imag, bp.point.real) % (2.0 * math.pi))
     return found
 
 
 # ---------------------------------------------------------------------------
-# Local contraction and circle images
+# Local contraction
 
 @dataclass(frozen=True)
 class ContractionReport:
@@ -527,32 +549,6 @@ def local_contraction_check(s: Symbol, z0: complex, r: float,
     ratios = np.abs(s(pts) - z0) / np.abs(pts - z0)
     rho = float(np.max(ratios))
     return ContractionReport(rho, rho < 1.0)
-
-
-@dataclass(frozen=True)
-class ImageCircle:
-    center: complex
-    radius: float
-    is_unit_circle: bool
-
-
-def moebius_image_circle(m: Moebius) -> ImageCircle:
-    """Image of the unit circle under a Moebius map, in closed form.
-
-    The pole lies off the closed disc (|d| > |c|), so the circle goes to the
-    circle with center (b conj(d) - a conj(c)) / (|d|^2 - |c|^2) and radius
-    |ad - bc| / (|d|^2 - |c|^2) (Cowen-MacCluer 1995, ch. 2).  When
-    |center| <= radius, which holds for every map near the unit circle,
-    |center| + |radius - 1| is exactly the maximum of ||phi| - 1| on the
-    circle; the image is reported as the unit circle itself when that sum is
-    at most 1e-10.
-    """
-    scale = abs(m.d) ** 2 - abs(m.c) ** 2
-    center = (m.b * m.d.conjugate() - m.a * m.c.conjugate()) / scale
-    radius = abs(m.det) / scale
-    if abs(center) + abs(radius - 1.0) <= 1e-10:
-        return ImageCircle(0.0, 1.0, True)
-    return ImageCircle(center, radius, False)
 
 
 # ---------------------------------------------------------------------------

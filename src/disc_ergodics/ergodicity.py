@@ -18,8 +18,8 @@ import mpmath as mp
 import numpy as np
 
 from . import dynamics
-from .symbols import (Blaschke, Orbit, Polynomial, Symbol, Taylor, _horner, boundary_points,
-                      orbit_blocks)
+from .symbols import (Blaschke, Orbit, Polynomial, Symbol, Taylor, _horner, _image_radius_bound,
+                      boundary_points, orbit_blocks)
 from .weighted import VAlpha
 
 # Decision-rule tags carried by verdicts.  Stable identifiers: downstream
@@ -697,7 +697,7 @@ def _interior_verdict(s: Symbol, space: str, cls: dynamics.InteriorDW,
     # image (Schwarz-Pick, Earle-Hamilton), so phi^n -> z0 uniformly.  The
     # margin is that of the boundary-periodic-point search, which returns
     # no point for such symbols.
-    bound = dynamics._image_radius_bound(s)
+    bound = _image_radius_bound(s)
     if bound < 1.0 - 1e-10:
         evidence.append(("image_radius_bound", bound))
         return ErgodicityVerdict(space, YES, YES, tag, evidence)

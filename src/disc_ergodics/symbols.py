@@ -21,9 +21,11 @@ import mpmath as mp
 import numpy as np
 
 # Construction / evaluation tolerances.  SELF_MAP_TOL is the slack allowed on
-# the grid maximum of |phi|; doubles on a Moebius map never exceed it for a
-# genuine self-map.  POLE_MARGIN keeps Moebius poles off the closed disc.
+# the grid maximum of |phi|; doubles never exceed it for a genuine self-map
+# whose evaluation is well conditioned (``_rounding_condition``).
+# POLE_MARGIN keeps Moebius poles off the closed disc.
 SELF_MAP_TOL = 1e-9
+UNIT_ROUNDOFF = 2.0**-53
 POLE_MARGIN = 1e-12
 DET_TOL = 1e-12
 TAYLOR_TRUNCATION_DEFAULT = 4096
@@ -120,6 +122,18 @@ class Symbol:
         raise NotImplementedError
 
     def _validate_self_map(self):
+        """Raise SymbolError unless the symbol maps the closed disc into itself.
+
+        The exact image-radius bound R (``_image_radius_bound``) settles it
+        without sampling when R <= 1 + SELF_MAP_TOL/2 and rounding cannot
+        carry R or the grid values of |phi| past the other half
+        (``_rounding_condition``): ``self_map_check`` would pass.  Otherwise
+        ``self_map_check`` decides, so the same symbols are accepted and the
+        same errors raised as by the grid alone.
+        """
+        if (_image_radius_bound(self) <= 1.0 + SELF_MAP_TOL / 2
+                and _rounding_condition(self) * UNIT_ROUNDOFF <= SELF_MAP_TOL / 2):
+            return
         report = self_map_check(self)
         if not report.passed:
             raise SymbolError(
@@ -421,6 +435,72 @@ def self_map_check(s: Symbol, boundary_samples: int = 512, radial_samples: int =
     idx = int(np.argmax(values))
     max_mod = float(values[idx])
     return SelfMapReport(max_mod, complex(grid[idx]), max_mod <= 1.0 + SELF_MAP_TOL)
+
+
+@dataclass(frozen=True)
+class ImageCircle:
+    center: complex
+    radius: float
+    is_unit_circle: bool
+
+
+def moebius_image_circle(m: Moebius) -> ImageCircle:
+    """Image of the unit circle under a Moebius map, in closed form.
+
+    The pole lies off the closed disc (|d| > |c|), so the circle goes to the
+    circle with center (b conj(d) - a conj(c)) / (|d|^2 - |c|^2) and radius
+    |ad - bc| / (|d|^2 - |c|^2) (Cowen-MacCluer 1995, ch. 2).  When
+    |center| <= radius, which holds for every map near the unit circle,
+    |center| + |radius - 1| is exactly the maximum of ||phi| - 1| on the
+    circle; the image is reported as the unit circle itself when that sum is
+    at most 1e-10.
+    """
+    scale = abs(m.d) ** 2 - abs(m.c) ** 2
+    center = (m.b * m.d.conjugate() - m.a * m.c.conjugate()) / scale
+    radius = abs(m.det) / scale
+    if abs(center) + abs(radius - 1.0) <= 1e-10:
+        return ImageCircle(0.0, 1.0, True)
+    return ImageCircle(center, radius, False)
+
+
+def _image_radius_bound(s: Symbol) -> float:
+    """A radius R with |phi| <= R on the closed disc (infinite when unknown).
+
+    Exact for Moebius maps, |center| + radius of ``moebius_image_circle``
+    (1 when that is the unit circle), and for Blaschke products, which are
+    unimodular on the circle: 1.  The triangle inequality, sum |c_k|, for
+    polynomial and Taylor symbols.
+    """
+    if isinstance(s, (Polynomial, Taylor)):
+        return float(sum(abs(c) for c in s.coeffs))
+    if isinstance(s, Blaschke):
+        return 1.0
+    if isinstance(s, Moebius):
+        circle = moebius_image_circle(s)
+        return abs(circle.center) + circle.radius
+    return math.inf
+
+
+def _rounding_condition(s: Symbol) -> float:
+    """K such that K * UNIT_ROUNDOFF bounds how far rounding in doubles can
+    carry |phi| on the grid of ``self_map_check``, or ``_image_radius_bound``,
+    above the exact value (infinite when unknown).
+
+    K is the condition number of evaluating phi with a safety factor of
+    about 4; the grid points lie off the circle by up to 2 UNIT_ROUNDOFF.
+    Horner's scheme loses about 2n roundoffs in n coefficients, a Blaschke
+    factor 2/(1 - |a|) (a zero 1e-15 inside a grid point of the circle makes
+    the grid read |phi| = 1.07 there, and reject that self-map), and a
+    Moebius map (|a| + |b| + |c| + |d|)/(|d| - |c|), which also bounds the
+    cancellation in the |d|^2 - |c|^2 of R.
+    """
+    if isinstance(s, (Polynomial, Taylor)):
+        return 8.0 * len(s.coeffs)
+    if isinstance(s, Blaschke):
+        return sum(8.0 / (1.0 - abs(a)) for a in s.zeros)
+    if isinstance(s, Moebius):
+        return 16.0 * (abs(s.a) + abs(s.b) + abs(s.c) + abs(s.d)) / (abs(s.d) - abs(s.c))
+    return math.inf
 
 
 @dataclass(frozen=True)

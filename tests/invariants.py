@@ -179,6 +179,13 @@ def random_circle_symbol(rng) -> de.Symbol:
     return de.Polynomial(list(coeffs))
 
 
+def random_interior_blaschke(rng) -> de.Blaschke:
+    """Blaschke product of degree 2 or 3 with a zero at 0, which attracts;
+    the circle carries repelling periodic points of every period."""
+    zeros = [0j] + [_random_interior(rng, 0.9) for _ in range(int(rng.integers(1, 3)))]
+    return de.Blaschke(rng.uniform(0, 2 * math.pi), zeros)
+
+
 def check_boundary_periodic_points(cases: int = 100) -> int:
     """Reported boundary periodic points are unimodular, pass the residual
     test, carry their minimal period, and are at least 1e-8 apart."""

@@ -242,3 +242,32 @@ def test_criterion_13_report_writing(tmp_path):
     assert last[0] == "100000"
     assert complex(float(last[3]), float(last[4])) == trace.final
     _report(13, "report writing", elapsed, 1.0, f"{len(lines) - 1} rows")
+
+
+def test_criterion_14_verdicts_at_the_cost_of_their_decision():
+    # validation from the image-radius bound, and the periodic-point search
+    # that obstructs interior attracting points of Blaschke products
+    rng = np.random.default_rng(invariants.SEED + 14)
+    docs = [de.symbol_to_json(invariants.random_moebius_contraction(rng) if i % 2
+                              else invariants.random_automorphism(rng)) for i in range(300)]
+    kinds = {"polynomial": 0, "blaschke": 0}
+    while min(kinds.values()) < 300:
+        s = invariants.random_circle_symbol(rng)
+        if kinds[s.kind] < 300:
+            kinds[s.kind] += 1
+            docs.append(de.symbol_to_json(s))
+    docs += [json.dumps(de.gallery_document(name)) for name in de.GALLERY_NAMES]
+    products = []
+    while len(products) < 10:
+        s = invariants.random_interior_blaschke(rng)
+        if s.degree == 2:
+            products.append(s)
+    t0 = time.perf_counter()
+    parsed = [de.parse_symbol(doc) for doc in docs]
+    verdicts = [de.verdict(s, "A") for s in products]
+    elapsed = time.perf_counter() - t0
+    assert [de.symbol_to_json(s) for s in parsed[:900]] == docs[:900]
+    assert all((v.mean_ergodic, v.uniformly_mean_ergodic) == ("no", "no")
+               and "boundary_periodic_point" in dict(v.evidence) for v in verdicts)
+    _report(14, "symbol validation and periodic-point verdicts", elapsed, 0.25,
+            f"{len(docs)} documents, {len(verdicts)} verdicts")

@@ -153,20 +153,17 @@ def test_library_errors_exit_one(tmp_path, capsys, monkeypatch, exc):
 
 
 def test_orbit_leaving_the_disc_exits_one(tmp_path, capsys):
-    # rounding moves circle seeds off this product's repelling circle; with
-    # --z0 given the command steps them
-    sym = tmp_path / "b.json"
-    sym.write_text(json.dumps({"kind": "blaschke", "rotation": 0.3, "zeros": [0, [0.5, 0.2]]}))
+    # z^2 given as a polynomial carries the circle onto itself; rounding
+    # moves the circle seeds off it, and the circle repels them
+    sym = tmp_path / "zsq.json"
+    sym.write_text(json.dumps({"kind": "polynomial", "coeffs": [0, 0, 1]}))
     assert cli.main(["density", "--symbol", str(sym), "--z0", "0", "--radius", "0.1",
                      "--seeds", "8", "--N", "2000", "--out", str(tmp_path)]) == 1
-    assert capsys.readouterr().err == "error: orbit leaves the closed disc at step 26\n"
+    assert capsys.readouterr().err == "error: orbit leaves the closed disc at step 24\n"
     assert not (tmp_path / "density.csv").exists()
 
 
-def test_density_refuses_circle_seeds_of_an_interior_blaschke_product(tmp_path, capsys,
-                                                                       monkeypatch):
-    # the product maps the circle onto itself: its boundary seeds can never
-    # reach the interior attracting point, so nothing is stepped
+def _refuses_interior_blaschke_product(tmp_path, capsys, monkeypatch, target):
     def fail(*args, **kwargs):
         raise AssertionError("density_sweep called")
 
@@ -176,11 +173,25 @@ def test_density_refuses_circle_seeds_of_an_interior_blaschke_product(tmp_path, 
                                "zeros": [[0.3, 0.0], [0.5, 0.2]]}))
     assert isinstance(dynamics.classify(cli._load_symbol(str(sym))), dynamics.InteriorDW)
     assert cli.main(["density", "--symbol", str(sym), "--radius", "0.1", "--seeds", "8",
-                     "--N", "2000", "--out", str(tmp_path)]) == 1
+                     "--N", "2000", "--out", str(tmp_path)] + target) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "unit circle" in err and "repels rounding" in err
     assert not (tmp_path / "density.csv").exists()
+
+
+def test_density_refuses_circle_seeds_of_an_interior_blaschke_product(tmp_path, capsys,
+                                                                       monkeypatch):
+    # the product maps the circle onto itself: its boundary seeds never
+    # reach the interior attracting point, so nothing is stepped
+    _refuses_interior_blaschke_product(tmp_path, capsys, monkeypatch, [])
+
+
+@pytest.mark.parametrize("z0", ["0", "0.5,0.5"])
+def test_density_refuses_an_interior_blaschke_product_for_any_target(tmp_path, capsys,
+                                                                     monkeypatch, z0):
+    # whatever the target, the seeds' visits would measure rounding
+    _refuses_interior_blaschke_product(tmp_path, capsys, monkeypatch, ["--z0", z0])
 
 
 @pytest.mark.parametrize("argv", [

@@ -15,6 +15,7 @@ from invariants import (
     check_classify_conjugation_invariance,
     random_automorphism,
     random_circle_symbol,
+    random_interior_blaschke,
     random_linear_fractional,
 )
 
@@ -279,22 +280,19 @@ def _multiplier(cls):
     return cls.multiplier_modulus if isinstance(cls, de.InteriorDW) else cls.angular_derivative
 
 
-def _linear_fractional_cases(monkeypatch):
-    # the validation grid costs 2 ms a symbol and draws nothing from the
-    # generator, whose maps are self-maps by construction
+def _linear_fractional_cases():
     yield from ((name, de.gallery_symbol(name)) for name in de.GALLERY_NAMES
                 if _as_moebius(de.gallery_symbol(name)) is not None)
-    monkeypatch.setattr(de.Symbol, "_validate_self_map", lambda self: None)
     rng = np.random.default_rng(SEED + 9)
     for i in range(2000):
         yield f"case {i}", random_linear_fractional(rng)[0]
 
 
-def test_normal_form_matches_the_references(monkeypatch):
+def test_normal_form_matches_the_references():
     seeds = np.array([0.0, 0.3 + 0.4j, -0.5j, 0.9, 1.0, cmath.exp(2j)])
     steps = np.array([1, 7, 10**3, 10**6])
     kinds = set()
-    for name, s in _linear_fractional_cases(monkeypatch):
+    for name, s in _linear_fractional_cases():
         got, want = de.classify(s), _reference_classify(s)
         kinds.add(got.kind)
         assert got.kind == want.kind, name
@@ -421,6 +419,10 @@ def test_boundary_periodic_points_skip_maps_into_smaller_disc(s, monkeypatch):
 
     monkeypatch.setattr(dynamics, "_wrapped_argument_gap", no_sampling)
     assert de.boundary_periodic_points(s, 8) == []
+    # the search samples through the patched name: a symbol that reaches the
+    # circle does
+    with pytest.raises(AssertionError, match="sampled"):
+        de.boundary_periodic_points(ZSQ, 1)
 
 
 def test_boundary_periodic_points_rotated_polynomial_not_skipped():
@@ -428,7 +430,7 @@ def test_boundary_periodic_points_rotated_polynomial_not_skipped():
     # conj(lam); its coefficient bound is 1, the edge of the skip rule
     lam = cmath.exp(0.7j)
     s = de.Polynomial([c * lam ** (k - 1) for k, c in enumerate([0.0, 0.5, 0.3, 0.2])])
-    assert abs(dynamics._image_radius_bound(s) - 1.0) <= 1e-15
+    assert abs(symbols._image_radius_bound(s) - 1.0) <= 1e-15
     pts = de.boundary_periodic_points(s, 2)
     assert len(pts) == 1
     assert abs(pts[0].point - lam.conjugate()) <= 1e-10 and pts[0].period == 1
@@ -440,12 +442,21 @@ def test_boundary_periodic_points_rotated_polynomial_not_skipped():
 ])
 def test_image_radius_bound_is_the_moebius_maximum(m):
     sampled = float(np.max(np.abs(m(boundary_points(1 << 14)))))
-    bound = dynamics._image_radius_bound(m)
+    bound = symbols._image_radius_bound(m)
     assert sampled - 1e-12 <= bound <= sampled + 1e-6
 
 
+def _gap(s, t, period):
+    # the wrapped argument gap of one period, stepped from e^{it}
+    w = np.exp(1j * t)
+    for _ in range(period):
+        w = s(w)
+    return np.angle(w * np.exp(-1j * t))
+
+
 def _scalar_bisection_search(s, max_period, samples=2048):
-    """Reference: the search with one scalar bisection per bracket."""
+    """Reference: the search one period at a time, with one scalar bisection
+    level per gap evaluation for each bracket."""
     found = []
 
     def register(t_root, period):
@@ -471,7 +482,7 @@ def _scalar_bisection_search(s, max_period, samples=2048):
 
     t = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
     for period in range(1, max_period + 1):
-        gaps = dynamics._wrapped_argument_gap(s, t, period)
+        gaps = _gap(s, t, period)
         for i in range(samples):
             ga, gb = gaps[i], gaps[(i + 1) % samples]
             if ga == 0.0:
@@ -484,7 +495,7 @@ def _scalar_bisection_search(s, max_period, samples=2048):
             glo = float(ga)
             for _ in range(80):
                 mid = 0.5 * (lo + hi)
-                gm = float(dynamics._wrapped_argument_gap(s, np.array([mid]), period)[0])
+                gm = float(_gap(s, np.array([mid]), period)[0])
                 if gm == 0.0:
                     lo = hi = mid
                     break
@@ -500,13 +511,23 @@ def _scalar_bisection_search(s, max_period, samples=2048):
 
 
 def test_boundary_periodic_points_match_scalar_bisection():
+    # bit for bit: points, periods, residuals and their order
     rng = np.random.default_rng(11)
-    symbols = [ZSQ, BLEND, HYPERBOLIC, TANGENT, PARABOLIC]
-    symbols += [random_circle_symbol(rng) for _ in range(12)]
-    for s in symbols:
+    cases = [ZSQ, BLEND, HYPERBOLIC, TANGENT, PARABOLIC]
+    cases += [random_circle_symbol(rng) for _ in range(12)]
+    for s in cases:
         for max_period in (1, 2, 3):
             assert de.boundary_periodic_points(s, max_period) == \
                 _scalar_bisection_search(s, max_period), (s, max_period)
+    # the benchmark's obstructed interior family: 0 attracts, and the
+    # circle carries periodic points of every period
+    total = 0
+    for i in range(8):
+        s, max_period = random_interior_blaschke(rng), 1 + i % 4
+        got = de.boundary_periodic_points(s, max_period)
+        assert got == _scalar_bisection_search(s, max_period), (s, max_period)
+        total += len(got)
+    assert total >= 150
 
 
 # ---------------------------------------------------------------------------

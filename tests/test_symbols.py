@@ -341,6 +341,86 @@ def test_self_map_check_on_the_shared_grid_matches_a_fresh_grid():
         assert de.self_map_check(s) == expected, name
 
 
+def _grid_decision(make):
+    # what the grid alone decides: the symbol built unvalidated, then checked
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(de.Symbol, "_validate_self_map", lambda self: None)
+        try:
+            s = make()
+        except de.SymbolError:
+            return None  # rejected before validation (pole, determinant, ...)
+    return de.self_map_check(s)
+
+
+def _candidates_near_the_bound(rng):
+    # Moebius maps rescaled to R = 1 + eps; polynomials with sum |c_k| =
+    # 1 + eps, half of them rotated nonnegative mixtures that reach the
+    # circle; Blaschke products with zeros 1e-15 to 1e-1 from the circle,
+    # half of them radially inside a point of the validation grid
+    grid_angles = de.symbols.boundary_points(512)
+    for _ in range(150):
+        eps = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-14.0, -7.0)
+        a, b, c, d = (complex(*rng.normal(size=2)) for _ in range(4))
+        if abs(d) < abs(c):
+            c, d = d, c
+        circle = de.moebius_image_circle(symbols.Moebius._unchecked(a, b, c, d))
+        f = (1.0 + eps) / (abs(circle.center) + circle.radius)
+        yield lambda a=a * f, b=b * f, c=c, d=d: de.Moebius(a, b, c, d)
+        n = int(rng.integers(2, 7))
+        coeffs = rng.normal(size=n) + 1j * rng.normal(size=n)
+        if rng.uniform() < 0.5:
+            lam = cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+            coeffs = np.abs(coeffs) * lam ** (np.arange(n) - 1.0)
+        coeffs *= (1.0 + eps) / np.sum(np.abs(coeffs))
+        yield lambda cs=list(coeffs): de.Polynomial(cs)
+        zeros = []
+        for _ in range(int(rng.integers(1, 4))):
+            u = grid_angles[rng.integers(512)] if rng.uniform() < 0.5 \
+                else cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+            zeros.append(complex((1.0 - 10.0 ** rng.uniform(-15.0, -1.0)) * u))
+        yield lambda zs=zeros, t=rng.uniform(0.0, 2.0 * math.pi): de.Blaschke(t, zs)
+
+
+def test_constructors_decide_as_the_grid_does():
+    rng = np.random.default_rng(2026)
+    outcomes = {True: 0, False: 0}
+    for make in _candidates_near_the_bound(rng):
+        report = _grid_decision(make)
+        if report is None:
+            continue
+        outcomes[report.passed] += 1
+        if report.passed:
+            make()
+            continue
+        with pytest.raises(de.SymbolError) as err:
+            make()
+        assert str(err.value) == (
+            f"not a self-map of the closed disc: |phi({report.witness!r})| "
+            f"= {report.max_modulus:.6g} > 1 + {symbols.SELF_MAP_TOL:g}")
+    assert outcomes[True] >= 300 and outcomes[False] >= 25, outcomes
+
+
+def test_gallery_is_validated_without_the_grid(monkeypatch):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("sampled the validation grid")
+
+    monkeypatch.setattr(symbols, "self_map_check", no_grid)
+    for name in de.GALLERY_NAMES:
+        de.gallery_symbol(name)
+
+
+def test_coefficient_sum_above_one_goes_through_the_grid(monkeypatch):
+    reports = []
+
+    def recording(s):
+        reports.append(de.self_map_check(s))
+        return reports[-1]
+
+    monkeypatch.setattr(symbols, "self_map_check", recording)
+    de.Polynomial([0.3, 0.5, -0.3])  # sum |c_k| = 1.1, max |p| on the circle 0.8
+    assert len(reports) == 1 and reports[0].passed
+
+
 def test_boundary_samples_floor():
     with pytest.raises(ValueError):
         de.self_map_check(HALF, boundary_samples=8)
