@@ -158,6 +158,18 @@ def _double_normal_form(m: Moebius) -> tuple[complex, complex | None, complex]:
     return p, q, kappa
 
 
+def _interior_rotation(s: Symbol, m: Moebius) -> tuple[complex, complex] | None:
+    """(p, kappa/|kappa|) when s, with Moebius form m, is an automorphism
+    fixing p in the disc, else None.  Its fixed points p and 1/conj(p) stay
+    apart however small the angle, so they are not merged."""
+    if not (isinstance(s, Blaschke) or moebius_image_circle(m).is_unit_circle):
+        return None
+    p, _, kappa = _moebius_normal_form(m.a, m.b, m.c, m.d)
+    if p is None or abs(p) >= 1.0 - BOUNDARY_PROXIMITY_TOL or abs(abs(kappa) - 1.0) > 1e-12:
+        return None
+    return p, kappa / abs(kappa)
+
+
 def moebius_fixed_points(m: Moebius) -> list[tuple[complex, int]]:
     """Finite fixed points of a Moebius map as (point, multiplicity) pairs,
     the Denjoy-Wolff candidate first.
@@ -191,6 +203,8 @@ def denjoy_wolff(s: Symbol, max_iter: int = DW_MAX_ITER_DEFAULT,
     if _is_identity_probe(s):
         raise EllipticInputError("the identity has no Denjoy-Wolff point")
     if isinstance(s, Moebius):
+        if _interior_rotation(s, s) is not None:
+            raise EllipticInputError("elliptic automorphism: it fixes an interior point")
         p, q, kappa = _double_normal_form(s)
         if abs(p) > 1.0 + 1e-8:
             raise UnclassifiableError("no fixed point of the Moebius map on the closed disc")
@@ -302,6 +316,10 @@ def classify(s: Symbol) -> SymbolClass:
         return Identity()
     mo = _as_moebius(s)
     if mo is not None:
+        rotation = _interior_rotation(s, mo)
+        if rotation is not None:
+            p, lam = rotation
+            return EllipticAutomorphism(p, lam, _rotation_period(lam))
         p, _, kappa = _double_normal_form(mo)
         # Trace test: tr^2/det is real for an automorphism, below 4 exactly
         # in the elliptic case.  It needs no root extraction, so it stays

@@ -95,13 +95,6 @@ def _synthetic_division(coeffs, zeta):
     return quotient
 
 
-def _horner_derivative(coeffs, z):
-    acc = 0.0 * z
-    for j in range(len(coeffs) - 1, 0, -1):
-        acc = acc * z + j * coeffs[j]
-    return acc
-
-
 class Symbol:
     """Base class for validated analytic self-maps of the closed disc."""
 
@@ -111,11 +104,13 @@ class Symbol:
         raise NotImplementedError
 
     def derivative(self, z):
-        raise NotImplementedError
+        """phi'(z): the divided difference at z = zeta."""
+        return self._divided_difference(z)(z)
 
-    def _divided_difference(self, zeta: complex):
+    def _divided_difference(self, zeta):
         """z -> (phi(z) - phi(zeta)) / (z - zeta), which is phi'(zeta) at
-        z = zeta; scalar doubles only."""
+        z = zeta.  zeta and z may be complex scalars, numpy arrays of one
+        shape, or mpmath values."""
         raise NotImplementedError
 
     def to_dict(self) -> dict:
@@ -198,10 +193,6 @@ class Moebius(Symbol):
             raise SymbolError("evaluation at a pole of the Moebius map")
         return (self.a * z + self.b) / den
 
-    def derivative(self, z):
-        den = self.c * z + self.d
-        return self.det / (den * den)
-
     def _divided_difference(self, zeta):
         scale = self.det / (self.c * zeta + self.d)
         return lambda z: scale / (self.c * z + self.d)
@@ -264,25 +255,6 @@ class Blaschke(Symbol):
             acc = acc * (z - a) / (1.0 - np.conjugate(a) * z)
         return acc
 
-    def derivative(self, z):
-        # Product rule without dividing by possibly-vanishing factors:
-        # B' = e^{i t} sum_j b_j' prod_{i != j} b_i, with
-        # b_j'(z) = (1 - |a_j|^2) / (1 - conj(a_j) z)^2.
-        factors = [(z - a) / (1.0 - np.conjugate(a) * z) for a in self.zeros]
-        prefix = [1.0 + 0.0 * z]
-        for f in factors[:-1]:
-            prefix.append(prefix[-1] * f)
-        suffix = [1.0 + 0.0 * z]
-        for f in reversed(factors[1:]):
-            suffix.append(suffix[-1] * f)
-        suffix.reverse()
-        total = 0.0 * z
-        for j, a in enumerate(self.zeros):
-            den = 1.0 - np.conjugate(a) * z
-            dj = (1.0 - abs(a) ** 2) / (den * den)
-            total = total + dj * prefix[j] * suffix[j]
-        return cmath.exp(1j * self.rotation) * total
-
     def _divided_difference(self, zeta):
         # Product rule for divided differences: B[zeta, z] =
         # e^{i t} sum_j prod_{i<j} b_i(z) * b_j[zeta, z] * prod_{i>j} b_i(zeta),
@@ -334,9 +306,6 @@ class Polynomial(Symbol):
     def __call__(self, z):
         return _horner(self.coeffs, z)
 
-    def derivative(self, z):
-        return _horner_derivative(self.coeffs, z)
-
     def _divided_difference(self, zeta):
         quotient = _synthetic_division(self.coeffs, zeta)
         return lambda z: _horner(quotient, z)
@@ -385,9 +354,6 @@ class Taylor(Symbol):
 
     def __call__(self, z):
         return _horner(self.coeffs, z)
-
-    def derivative(self, z):
-        return _horner_derivative(self.coeffs, z)
 
     def _divided_difference(self, zeta):
         quotient = _synthetic_division(self.coeffs, zeta)

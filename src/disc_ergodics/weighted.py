@@ -79,13 +79,8 @@ def _distance_to_one(theta, n) -> mp.mpf:
 
 def _check_not_root_of_unity(theta):
     # Coarse double sweep, then high-precision confirmation of any suspects.
-    td = float(theta)
-    n = np.arange(1, ROOT_OF_UNITY_ORDER_BOUND + 1)
-    frac = np.mod(n * td, 1.0)
-    frac = np.minimum(frac, 1.0 - frac)
-    errs = 2.0 * np.sin(np.pi * frac)
-    suspects = n[errs < 1e-9]
-    for q in suspects:
+    errs = brute_force_error_table(theta, ROOT_OF_UNITY_ORDER_BOUND)
+    for q in np.nonzero(errs < 1e-9)[0] + 1:
         if _distance_to_one(theta, int(q)) <= ROOT_OF_UNITY_TOL:
             raise ValueError(
                 f"rotation of order {int(q)} (root of unity); lacunary "
@@ -223,8 +218,9 @@ def lacunary_exponents(lam=None, R: float = 2.0, K: int = 12, *,
 
 
 def brute_force_error_table(theta, n_limit: int) -> np.ndarray:
-    """|1 - lam^n| for n = 1..n_limit in doubles: the independent oracle used
-    to confirm that selected exponents are running argmins."""
+    """|1 - lam^n| for n = 1..n_limit in doubles: the sweep for roots of
+    unity, and the independent oracle used to confirm that selected
+    exponents are running argmins."""
     with mp.workdps(40):
         td = float(resolve_theta(theta=theta))
     n = np.arange(1, n_limit + 1)
@@ -236,20 +232,14 @@ def brute_force_error_table(theta, n_limit: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Weights
 
-class Weight:
-    """Radial weight r -> v(r) on [0, 1)."""
-
-    def __call__(self, r):
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class VAlpha(Weight):
+class VAlpha:
     """v_alpha(r) = C (sum_k r^{n_k})^{-alpha} for r >= r0, and 1 below r0.
 
     C = (sum_k r0^{n_k})^alpha makes the weight continuous at r0 and equal to
     one there; the partial sum is increasing in r, so the weight is
-    non-increasing and tends to zero at the boundary.
+    non-increasing and tends to zero at the boundary.  Radii may be a scalar
+    or an array, clamped to RADIUS_CLAMP; a scalar gives a float.
     """
 
     alpha: float
@@ -264,31 +254,23 @@ class VAlpha(Weight):
             raise ValueError("r0 must lie in (0, 1)")
         if not 1 <= self.tail_terms <= len(self.seq):
             raise ValueError("tail_terms must be within the available exponents")
+        object.__setattr__(self, "C", self.partial_sum(self.r0) ** self.alpha)
         # Typical-weight certification on a radius sweep.
-        radii = np.linspace(0.0, RADIUS_CLAMP, 1000)
-        values = np.array([self._value(float(r)) for r in radii])
-        if np.any(np.diff(values) > 1e-12):
+        if np.any(np.diff(self(np.linspace(0.0, RADIUS_CLAMP, 1000))) > 1e-12):
             raise ValueError("weight failed the non-increasing check")
-        below = self._value(self.r0 * (1.0 - 1e-9))
-        above = self._value(min(self.r0 * (1.0 + 1e-9), RADIUS_CLAMP))
+        below, above = self(self.r0 * np.array([1.0 - 1e-9, 1.0 + 1e-9]))
         if abs(below - above) > 1e-6:
             raise ValueError("weight is discontinuous at r0")
 
-    @property
-    def C(self) -> float:
-        return self.partial_sum(self.r0) ** self.alpha
-
-    def partial_sum(self, r: float) -> float:
-        r = min(float(r), RADIUS_CLAMP)
-        if r <= 0.0:
-            return 0.0
-        log_r = math.log(r)
-        total = 0.0
+    def partial_sum(self, r):
+        """sum_k r^{n_k} over the first tail_terms exponents, added in order."""
+        r = np.minimum(np.asarray(r, dtype=float), RADIUS_CLAMP)
+        with np.errstate(divide="ignore"):
+            log_r = np.log(np.maximum(r, 0.0))
+        total = np.zeros(r.shape)
         for n in self.seq.exponents[: self.tail_terms]:
-            e = n * log_r
-            if e > -745.0:
-                total += math.exp(e)
-        return total
+            total += np.exp(n * log_r)
+        return total if total.ndim else float(total)
 
     def tail_bound(self, r: float) -> float:
         """Geometric bound r^{n_K + 1} / (1 - r) on the truncated tail."""
@@ -297,17 +279,11 @@ class VAlpha(Weight):
         e = (n_last + 1) * math.log(r) if r > 0 else -math.inf
         return math.exp(e) / (1.0 - r) if e > -745.0 else 0.0
 
-    def _value(self, r: float) -> float:
-        r = min(float(r), RADIUS_CLAMP)
-        if r <= self.r0:
-            return 1.0
-        return self.C * self.partial_sum(r) ** (-self.alpha)
-
     def __call__(self, r):
-        arr = np.asarray(r, dtype=float)
-        if arr.ndim == 0:
-            return self._value(float(arr))
-        return np.array([self._value(float(x)) for x in arr])
+        r = np.minimum(np.asarray(r, dtype=float), RADIUS_CLAMP)
+        with np.errstate(divide="ignore"):
+            v = np.where(r <= self.r0, 1.0, self.C * np.power(self.partial_sum(r), -self.alpha))
+        return v if v.ndim else float(v)
 
     def to_dict(self) -> dict:
         return {
@@ -356,29 +332,31 @@ class SparseSeries:
                 raise ValueError("exponents must be strictly increasing")
             prev = n
         object.__setattr__(self, "terms", cleaned)
+        object.__setattr__(self, "_exponents", np.array([n for n, _ in cleaned], dtype=float))
+        object.__setattr__(self, "_coeffs", np.array([c for _, c in cleaned], dtype=complex))
 
     def abs_coeff_sum(self) -> float:
         return float(sum(abs(c) for _, c in self.terms))
 
     def __call__(self, z):
-        if isinstance(z, np.ndarray):
-            total = np.zeros(z.shape, dtype=complex)
-            for n, c in self.terms:
-                total = total + c * z ** n
-            return total
-        z = complex(z)
-        total = 0.0 + 0.0j
-        for n, c in self.terms:
-            if abs(z) > 0 and n * math.log(abs(z)) < -745.0:
-                continue
-            total += c * z ** n
-        return total
+        """The sum at z, a complex scalar or array, added in term order.
+
+        z^n is taken in polar form |z|^n e^{i n arg z}, as for a Python
+        complex z and n > 100.  A scalar is evaluated as a one-element array
+        (numpy's scalar ** rounds differently) and gives a complex.
+        """
+        w = np.asarray(z, dtype=complex)
+        modulus, angle = np.abs(w.ravel()), np.angle(w.ravel())
+        total = np.zeros(w.size, dtype=complex)
+        for n, c in zip(self._exponents, self._coeffs):
+            total += c * (modulus ** n * np.exp(1j * n * angle))
+        return total.reshape(w.shape) if w.ndim else complex(total[0])
 
 
 # ---------------------------------------------------------------------------
 # Norms
 
-def weighted_sup_norm(f, w: Weight, radii: int = 64, angles: int = 128) -> float:
+def weighted_sup_norm(f, w: VAlpha, radii: int = 64, angles: int = 128) -> float:
     """Grid maximum of v(|z|) |f(z)|, radii accumulating toward the boundary.
 
     ``f`` is any callable power series (sparse or dense).
@@ -386,11 +364,8 @@ def weighted_sup_norm(f, w: Weight, radii: int = 64, angles: int = 128) -> float
     cheb = np.cos(np.pi * (2.0 * np.arange(radii) + 1.0) / (4.0 * radii))
     rs = np.minimum(cheb, RADIUS_CLAMP)
     ts = np.exp(2j * np.pi * np.arange(angles) / angles)
-    best = 0.0
-    for r in rs:
-        vals = np.abs(f(r * ts))
-        best = max(best, float(w(float(r))) * float(np.max(vals)))
-    return best
+    ring_max = np.max(np.abs(f(rs[:, None] * ts[None, :])), axis=1)
+    return float(np.max(w(rs) * ring_max))
 
 
 @dataclass(frozen=True)
@@ -409,10 +384,7 @@ class CoefficientNormReport:
 
 def h2_norm_sq(f) -> CoefficientNormReport:
     """Coefficient-square sum over the stored terms of a power series."""
-    if isinstance(f, SparseSeries):
-        coeffs = [c for _, c in f.terms]
-    else:
-        coeffs = list(getattr(f, "coeffs", f))
+    coeffs = f._coeffs if isinstance(f, SparseSeries) else list(getattr(f, "coeffs", f))
     nonzero = [c for c in coeffs if abs(complex(c)) > 0.0]
     value = float(sum(abs(complex(c)) ** 2 for c in nonzero))
     unimodular = bool(nonzero) and all(abs(abs(complex(c)) - 1.0) < 1e-15 for c in nonzero)
@@ -450,9 +422,8 @@ def counterexample_pair(seq: LacunarySequence, K: int,
     certified_bound = 1.0 / (seq.R - 1.0)
     # The looser geometric constant R/(R-1) is recorded for reference but the
     # certified bound is the exact sum of the geometric series from k = 1.
-    coeff_identity_error = 0.0
-    for (n, cf), (_, cg), lp in zip(f.terms, g.terms, lam_powers):
-        coeff_identity_error = max(coeff_identity_error, abs(cf - cg * (1.0 - lp)))
+    coeff_identity_error = max(abs(cf - cg * (1.0 - lp))
+                               for (_, cf), (_, cg), lp in zip(f.terms, g.terms, lam_powers))
     report = {
         "K": K,
         "R": seq.R,
@@ -466,20 +437,11 @@ def counterexample_pair(seq: LacunarySequence, K: int,
     if abs_sum > certified_bound + 1e-12:
         raise ArithmeticError("absolute coefficient sum exceeded the certified bound")
     if weight is not None:
-        probes = []
-        for m in range(1, 6):
-            r = 1.0 - 10.0 ** (-m)
-            v = float(weight(r))
-            gval = abs(g(r))
-            fval = abs(f(r))
-            partial = weight.partial_sum(r) if isinstance(weight, VAlpha) else math.nan
-            probes.append({
-                "r": r,
-                "v": v,
-                "v_abs_f": v * fval,
-                "v_abs_g": v * gval,
-                "partial_sum_pow": partial ** (1.0 - weight.alpha)
-                if isinstance(weight, VAlpha) else math.nan,
-            })
-        report["weighted_probes"] = probes
+        radii = np.array([1.0 - 10.0 ** (-m) for m in range(1, 6)])
+        v, partial = weight(radii), weight.partial_sum(radii)
+        abs_f, abs_g = np.abs(f(radii)), np.abs(g(radii))
+        report["weighted_probes"] = [
+            {"r": float(r), "v": float(vr), "v_abs_f": float(vr * fr), "v_abs_g": float(vr * gr),
+             "partial_sum_pow": float(ps ** (1.0 - weight.alpha))}
+            for r, vr, fr, gr, ps in zip(radii, v, abs_f, abs_g, partial)]
     return CounterexamplePair(f, g, report)

@@ -271,3 +271,14 @@ def test_criterion_14_verdicts_at_the_cost_of_their_decision():
                and "boundary_periodic_point" in dict(v.evidence) for v in verdicts)
     _report(14, "symbol validation and periodic-point verdicts", elapsed, 0.25,
             f"{len(docs)} documents, {len(verdicts)} verdicts")
+
+
+def test_criterion_15_weight_construction():
+    # the v_alpha weight checks itself on 1,000 radii at construction
+    seq = de.lacunary_exponents(theta="golden", R=2.0, K=30)
+    t0 = time.perf_counter()
+    weights = [de.make_weight_v_alpha(0.5, 0.5, seq) for _ in range(200)]
+    elapsed = time.perf_counter() - t0
+    assert all(w.C == weights[0].C for w in weights)
+    assert weights[0](0.5) == 1.0 and weights[0](1.0 - 1e-6) < 0.1
+    _report(15, "v_alpha weight construction", elapsed, 0.25, f"{len(weights)} weights")

@@ -154,23 +154,22 @@ def test_library_errors_exit_one(tmp_path, capsys, monkeypatch, exc):
 
 def test_orbit_leaving_the_disc_exits_one(tmp_path, capsys):
     # z^2 given as a polynomial carries the circle onto itself; rounding
-    # moves the circle seeds off it, and the circle repels them
+    # moves a seed on it off the circle, and the circle repels it
     sym = tmp_path / "zsq.json"
     sym.write_text(json.dumps({"kind": "polynomial", "coeffs": [0, 0, 1]}))
-    assert cli.main(["density", "--symbol", str(sym), "--z0", "0", "--radius", "0.1",
-                     "--seeds", "8", "--N", "2000", "--out", str(tmp_path)]) == 1
-    assert capsys.readouterr().err == "error: orbit leaves the closed disc at step 24\n"
-    assert not (tmp_path / "density.csv").exists()
+    assert cli.main(["weyl", "--symbol", str(sym), "--z", "0.6,0.8",
+                     "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: orbit leaves the closed disc at step 26\n"
+    assert not (tmp_path / "weyl.csv").exists()
 
 
-def _refuses_interior_blaschke_product(tmp_path, capsys, monkeypatch, target):
+def _refuses_circle_seeds(tmp_path, capsys, monkeypatch, doc, target):
     def fail(*args, **kwargs):
         raise AssertionError("density_sweep called")
 
     monkeypatch.setattr(ergodicity, "density_sweep", fail)
     sym = tmp_path / "b.json"
-    sym.write_text(json.dumps({"kind": "blaschke", "rotation": 0.0,
-                               "zeros": [[0.3, 0.0], [0.5, 0.2]]}))
+    sym.write_text(json.dumps(doc))
     assert isinstance(dynamics.classify(cli._load_symbol(str(sym))), dynamics.InteriorDW)
     assert cli.main(["density", "--symbol", str(sym), "--radius", "0.1", "--seeds", "8",
                      "--N", "2000", "--out", str(tmp_path)] + target) == 1
@@ -180,18 +179,41 @@ def _refuses_interior_blaschke_product(tmp_path, capsys, monkeypatch, target):
     assert not (tmp_path / "density.csv").exists()
 
 
+BLASCHKE = {"kind": "blaschke", "rotation": 0.0, "zeros": [[0.3, 0.0], [0.5, 0.2]]}
+
+
 def test_density_refuses_circle_seeds_of_an_interior_blaschke_product(tmp_path, capsys,
                                                                        monkeypatch):
     # the product maps the circle onto itself: its boundary seeds never
     # reach the interior attracting point, so nothing is stepped
-    _refuses_interior_blaschke_product(tmp_path, capsys, monkeypatch, [])
+    _refuses_circle_seeds(tmp_path, capsys, monkeypatch, BLASCHKE, [])
 
 
 @pytest.mark.parametrize("z0", ["0", "0.5,0.5"])
 def test_density_refuses_an_interior_blaschke_product_for_any_target(tmp_path, capsys,
                                                                      monkeypatch, z0):
     # whatever the target, the seeds' visits would measure rounding
-    _refuses_interior_blaschke_product(tmp_path, capsys, monkeypatch, ["--z0", z0])
+    _refuses_circle_seeds(tmp_path, capsys, monkeypatch, BLASCHKE, ["--z0", z0])
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "polynomial", "coeffs": [0, 0, 1]},
+    {"kind": "polynomial", "coeffs": [0, 0, 0, [0.6, -0.8]]},
+    {"kind": "taylor", "coeffs": [0, 0, [0.0, 1.0]]},
+], ids=["zsq", "rotated_cube", "taylor"])
+@pytest.mark.parametrize("target", [[], ["--z0", "0"]], ids=["no_target", "z0"])
+def test_density_refuses_a_unimodular_monomial(tmp_path, capsys, monkeypatch, doc, target):
+    # c z^k with |c| = 1 and k >= 2 is a Blaschke product given by its
+    # coefficients; stepped, z^2 left the disc at step 24
+    _refuses_circle_seeds(tmp_path, capsys, monkeypatch, doc, target)
+
+
+def test_density_steps_a_monomial_inside_the_disc(tmp_path):
+    sym = tmp_path / "half_sq.json"
+    sym.write_text(json.dumps({"kind": "polynomial", "coeffs": [0, 0, 0.5]}))
+    assert cli.main(["density", "--symbol", str(sym), "--radius", "0.1", "--seeds", "4",
+                     "--N", "200", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "density.csv").exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -178,6 +178,21 @@ def test_classify_elliptic_off_center():
     assert cls.period == 5
 
 
+@pytest.mark.parametrize("angle", [1e-4, 6e-5, 4e-5, 2e-5, 1e-5, 1e-6, 1e-7])
+@pytest.mark.parametrize("p0", [0.5, 0.3 + 0.4j, 0.85j])
+def test_classify_elliptic_with_a_small_angle(angle, p0):
+    # |kappa - 1| < 6.3e-5 merges the fixed points p0 and 1/conj(p0) in
+    # doubles, and below t = 3e-5 the trace misses the elliptic margin
+    s = de.make_automorphism("elliptic", angle=angle, fixed_point=p0)
+    cls = de.classify(s)
+    assert isinstance(cls, de.EllipticAutomorphism)
+    assert abs(cls.fixed_point - p0) <= 1e-8
+    assert cls.multiplier == pytest.approx(cmath.exp(1j * angle), abs=1e-12)
+    assert cls.period is None
+    with pytest.raises(de.EllipticInputError):
+        de.denjoy_wolff(s)
+
+
 def test_classify_blaschke_boundary_hyperbolic():
     # ((z + 0.6) / (1 + 0.6 z))^2 fixes 1 with derivative 2(1-a)/(1+a) = 0.5
     s = de.Blaschke(0.0, [-0.6, -0.6])

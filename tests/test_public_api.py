@@ -23,13 +23,28 @@ def test_documented_names_resolve(path):
     assert not missing, f"{path.name} uses names missing from disc_ergodics: {missing}"
 
 
-def test_traced_names_resolve():
-    # The benchmark's tracer wraps these functions by name; a name removed
-    # from the package fails here rather than in a traced benchmark run.
+def _tracing():
     spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_names_resolve():
+    # The benchmark's tracer wraps these functions by name; a name removed
+    # from the package fails here rather than in a traced benchmark run.
+    tracing = _tracing()
     assert tracing.TARGETS
     missing = [f"{module.__name__}.{name}" for module, name, *_ in tracing.TARGETS
                if not callable(getattr(module, name, None))]
     assert not missing, f"perfbench/tracing.py wraps names missing from the package: {missing}"
+
+
+def test_traced_symbol_classes_define_their_own_call():
+    # The tracer counts evaluations by replacing cls.__dict__["__call__"] of
+    # each symbol class; a __call__ inherited from a shared base would not
+    # be found there.
+    tracing = _tracing()
+    assert tracing.SYMBOL_CLASSES
+    missing = [cls.__name__ for cls in tracing.SYMBOL_CLASSES if "__call__" not in vars(cls)]
+    assert not missing, f"symbol classes without their own __call__: {missing}"

@@ -109,12 +109,19 @@ def test_blaschke_derivative_at_zero_of_factor():
 
 
 def test_divided_differences_match_the_quotient_and_the_derivative():
+    # phi' is the divided difference at z = zeta; the reference is mp.diff
+    # of the symbol evaluated at 30 digits, so it shares no code with it
     symbols_ = (HYPERBOLIC, de.Blaschke(0.3, [0.4, -0.2j, 0.5 + 0.1j]),
                 de.Polynomial([0.1, 0.5j, 0.3]), de.Taylor([0.2, 0.3, -0.1j, 0.25]))
+    zetas = np.array([1.0, cmath.exp(2.1j), 0.4, -0.3 + 0.5j])
     for s in symbols_:
-        for zeta in (1.0, cmath.exp(2.1j)):
-            divided = s._divided_difference(zeta)
-            assert abs(divided(zeta) - complex(s.derivative(zeta))) <= 1e-14
+        with mp.workdps(30):
+            reference = [complex(mp.diff(s, mp.mpc(zeta))) for zeta in zetas]
+        on_array = s.derivative(zetas)
+        for zeta, ref, value in zip(zetas, reference, on_array):
+            assert abs(complex(s.derivative(complex(zeta))) - ref) <= 1e-15 * max(1.0, abs(ref))
+            assert abs(value - ref) <= 1e-15 * max(1.0, abs(ref)), (s, zeta)
+            divided = s._divided_difference(complex(zeta))
             for z in (0.3 + 0.4j, -0.8j, 0.0):
                 quotient = (complex(s(z)) - complex(s(zeta))) / (z - zeta)
                 assert abs(divided(z) - quotient) <= 1e-14, (s, zeta, z)

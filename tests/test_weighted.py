@@ -93,6 +93,22 @@ def test_weight_parameter_validation():
         de.make_weight_v_alpha(0.5, 0.5, GOLDEN_SEQ, 99)
 
 
+def test_weight_scalar_is_the_array_element():
+    w = de.make_weight_v_alpha(0.5, 0.5, GOLDEN_SEQ, 20)
+    radii = np.concatenate((np.linspace(0.0, 1.0, 1001), 1.0 - np.geomspace(1e-9, 0.5, 500)))
+    values, sums = w(radii), w.partial_sum(radii)
+    for r, v, ps in zip(radii, values, sums):
+        assert type(w(float(r))) is float and w(float(r)) == v
+        assert type(w.partial_sum(float(r))) is float and w.partial_sum(float(r)) == ps
+
+
+def test_weight_with_decreasing_partial_sums_is_rejected(monkeypatch):
+    # a partial sum that falls in r makes the weight rise
+    monkeypatch.setattr(de.VAlpha, "partial_sum", lambda self, r: 2.0 - np.asarray(r, dtype=float))
+    with pytest.raises(ValueError, match="non-increasing"):
+        de.make_weight_v_alpha(0.5, 0.5, GOLDEN_SEQ, 20)
+
+
 def test_weight_monotonicity_random_cases():
     assert check_weight_monotonicity(100) >= 100
 
@@ -171,3 +187,14 @@ def test_sparse_series_eval_matches_direct():
     assert complex(pair.g(z)) == pytest.approx(direct, abs=1e-14)
     arr = pair.g(np.array([0.5, 0.9]))
     assert arr.shape == (2,)
+
+
+def test_sparse_series_scalar_is_the_array_element():
+    pair = de.counterexample_pair(GOLDEN_SEQ, 30)
+    rng = np.random.default_rng(11)
+    z = np.sqrt(rng.uniform(0.0, 1.0, 200)) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 200))
+    z = np.concatenate((z, [0.0, 1.0, -1.0, 1.0 - 1e-5]))
+    for series in (pair.f, pair.g):
+        values = series(z)
+        for zi, v in zip(z, values):
+            assert type(series(complex(zi))) is complex and series(complex(zi)) == v
