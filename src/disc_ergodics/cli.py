@@ -42,7 +42,7 @@ import sys
 import numpy as np
 
 from . import dynamics, ergodicity, gallery, weighted
-from .symbols import Blaschke, SymbolError, iterate, parse_symbol
+from .symbols import SymbolError, boundary_points, iterate, parse_symbol
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -187,12 +187,11 @@ def _cmd_cesaro(args) -> int:
 def _cmd_density(args) -> int:
     s = _load_symbol(args.symbol)
     z0 = args.z0
-    cls = dynamics.classify(s) if z0 is None or isinstance(s, Blaschke) else None
-    # whatever the target, before any seed is stepped; c z^k with |c| = 1
-    # and k >= 2 is a Blaschke product given by its coefficients
-    nonzero = [(k, abs(c)) for k, c in enumerate(getattr(s, "coeffs", ())) if c != 0]
-    monomial = len(nonzero) == 1 and nonzero[0][0] >= 2 and abs(nonzero[0][1] - 1.0) <= 1e-12
-    if monomial or (isinstance(cls, dynamics.InteriorDW) and isinstance(s, Blaschke)):
+    # |phi| = 1 on the circle: a Blaschke product, however it is given
+    inner = bool(np.all(np.abs(np.abs(s(boundary_points(512))) - 1.0) <= 1e-9))
+    cls = dynamics.classify(s) if z0 is None or inner else None
+    # whatever the target, before any seed is stepped
+    if inner and isinstance(cls, dynamics.InteriorDW):
         raise ConfigError("a Blaschke product keeps the boundary seeds on the unit circle, "
                           "which repels rounding; they never reach its interior point z0")
     if z0 is None:

@@ -159,13 +159,16 @@ def _double_normal_form(m: Moebius) -> tuple[complex, complex | None, complex]:
 
 
 def _interior_rotation(s: Symbol, m: Moebius) -> tuple[complex, complex] | None:
-    """(p, kappa/|kappa|) when s, with Moebius form m, is an automorphism
-    fixing p in the disc, else None.  Its fixed points p and 1/conj(p) stay
-    apart however small the angle, so they are not merged."""
+    """(p, kappa/|kappa|) when s, with Moebius form m, is an elliptic
+    automorphism fixing p in the disc, else None: the one test for
+    "elliptic".  Its fixed points p and 1/conj(p) stay apart however small
+    the angle, so they are not merged."""
     if not (isinstance(s, Blaschke) or moebius_image_circle(m).is_unit_circle):
         return None
-    p, _, kappa = _moebius_normal_form(m.a, m.b, m.c, m.d)
-    if p is None or abs(p) >= 1.0 - BOUNDARY_PROXIMITY_TOL or abs(abs(kappa) - 1.0) > 1e-12:
+    p, q, kappa = _moebius_normal_form(m.a, m.b, m.c, m.d)
+    if q is not None and abs(q) < abs(p):  # taken when ||kappa| - 1| > 1e-12
+        p, kappa = q, 1.0 / kappa
+    if p is None or abs(p) >= 1.0 - BOUNDARY_PROXIMITY_TOL or abs(abs(kappa) - 1.0) > 1e-6:
         return None
     return p, kappa / abs(kappa)
 
@@ -205,12 +208,9 @@ def denjoy_wolff(s: Symbol, max_iter: int = DW_MAX_ITER_DEFAULT,
     if isinstance(s, Moebius):
         if _interior_rotation(s, s) is not None:
             raise EllipticInputError("elliptic automorphism: it fixes an interior point")
-        p, q, kappa = _double_normal_form(s)
+        p, _, kappa = _double_normal_form(s)
         if abs(p) > 1.0 + 1e-8:
             raise UnclassifiableError("no fixed point of the Moebius map on the closed disc")
-        if p != q and abs(kappa) > 1.0 - 1e-12 and abs(p) < 1.0 - 1e-8:
-            raise EllipticInputError("interior fixed point with unimodular multiplier "
-                                     "(elliptic automorphism)")
         return DWResult(p, 0, abs(complex(s(p)) - p), min(abs(kappa), 1.0))
     z = 0.0 + 0.0j
     prev_step = None
@@ -305,7 +305,7 @@ def classify(s: Symbol) -> SymbolClass:
     hyperbolic DW / parabolic DW.
 
     Linear-fractional symbols are classified from their normal form: an
-    automorphism with an elliptic trace is an elliptic automorphism, and
+    automorphism fixing a point of the disc is an elliptic automorphism, and
     otherwise the attracting fixed point is interior or on the circle.
     Everything else goes through the Denjoy-Wolff search; boundary
     candidates are Newton-polished and verified against
@@ -321,15 +321,6 @@ def classify(s: Symbol) -> SymbolClass:
             p, lam = rotation
             return EllipticAutomorphism(p, lam, _rotation_period(lam))
         p, _, kappa = _double_normal_form(mo)
-        # Trace test: tr^2/det is real for an automorphism, below 4 exactly
-        # in the elliptic case.  It needs no root extraction, so it stays
-        # reliable where nearly-coalescing fixed points would not.
-        if ((isinstance(s, Blaschke) or moebius_image_circle(mo).is_unit_circle)
-                and ((mo.a + mo.d) ** 2 / mo.det).real < 4.0 - 1e-9):
-            if abs(p) >= 1.0 or abs(abs(kappa) - 1.0) > 1e-6:
-                raise UnclassifiableError(f"elliptic trace, but |phi'({p!r})| = {abs(kappa):.8g}")
-            lam = kappa / abs(kappa)
-            return EllipticAutomorphism(p, lam, _rotation_period(lam))
         if abs(p) < 1.0 - BOUNDARY_PROXIMITY_TOL:
             return InteriorDW(p, abs(kappa))
         if abs(p) > 1.0 + 1e-8:

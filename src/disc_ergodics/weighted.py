@@ -332,8 +332,6 @@ class SparseSeries:
                 raise ValueError("exponents must be strictly increasing")
             prev = n
         object.__setattr__(self, "terms", cleaned)
-        object.__setattr__(self, "_exponents", np.array([n for n, _ in cleaned], dtype=float))
-        object.__setattr__(self, "_coeffs", np.array([c for _, c in cleaned], dtype=complex))
 
     def abs_coeff_sum(self) -> float:
         return float(sum(abs(c) for _, c in self.terms))
@@ -348,7 +346,7 @@ class SparseSeries:
         w = np.asarray(z, dtype=complex)
         modulus, angle = np.abs(w.ravel()), np.angle(w.ravel())
         total = np.zeros(w.size, dtype=complex)
-        for n, c in zip(self._exponents, self._coeffs):
+        for n, c in self.terms:
             total += c * (modulus ** n * np.exp(1j * n * angle))
         return total.reshape(w.shape) if w.ndim else complex(total[0])
 
@@ -384,7 +382,10 @@ class CoefficientNormReport:
 
 def h2_norm_sq(f) -> CoefficientNormReport:
     """Coefficient-square sum over the stored terms of a power series."""
-    coeffs = f._coeffs if isinstance(f, SparseSeries) else list(getattr(f, "coeffs", f))
+    if isinstance(f, SparseSeries):
+        coeffs = [c for _, c in f.terms]
+    else:
+        coeffs = list(getattr(f, "coeffs", f))
     nonzero = [c for c in coeffs if abs(complex(c)) > 0.0]
     value = float(sum(abs(complex(c)) ** 2 for c in nonzero))
     unimodular = bool(nonzero) and all(abs(abs(complex(c)) - 1.0) < 1e-15 for c in nonzero)
@@ -422,8 +423,9 @@ def counterexample_pair(seq: LacunarySequence, K: int,
     certified_bound = 1.0 / (seq.R - 1.0)
     # The looser geometric constant R/(R-1) is recorded for reference but the
     # certified bound is the exact sum of the geometric series from k = 1.
-    coeff_identity_error = max(abs(cf - cg * (1.0 - lp))
-                               for (_, cf), (_, cg), lp in zip(f.terms, g.terms, lam_powers))
+    coeff_identity_error = 0.0
+    for (n, cf), (_, cg), lp in zip(f.terms, g.terms, lam_powers):
+        coeff_identity_error = max(coeff_identity_error, abs(cf - cg * (1.0 - lp)))
     report = {
         "K": K,
         "R": seq.R,

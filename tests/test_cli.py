@@ -208,11 +208,16 @@ def test_density_refuses_a_unimodular_monomial(tmp_path, capsys, monkeypatch, do
     _refuses_circle_seeds(tmp_path, capsys, monkeypatch, doc, target)
 
 
-def test_density_steps_a_monomial_inside_the_disc(tmp_path):
+@pytest.mark.parametrize("target", [[], ["--z0", "0"]], ids=["no_target", "z0"])
+def test_density_steps_a_monomial_inside_the_disc(tmp_path, monkeypatch, target):
+    if target:
+        # a map that moves the circle off itself needs no classification
+        # when the target is given
+        monkeypatch.setattr(dynamics, "classify", None)
     sym = tmp_path / "half_sq.json"
     sym.write_text(json.dumps({"kind": "polynomial", "coeffs": [0, 0, 0.5]}))
     assert cli.main(["density", "--symbol", str(sym), "--radius", "0.1", "--seeds", "4",
-                     "--N", "200", "--out", str(tmp_path)]) == 0
+                     "--N", "200", "--out", str(tmp_path)] + target) == 0
     assert (tmp_path / "density.csv").exists()
 
 

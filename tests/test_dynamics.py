@@ -193,6 +193,18 @@ def test_classify_elliptic_with_a_small_angle(angle, p0):
         de.denjoy_wolff(s)
 
 
+@pytest.mark.parametrize("p0, angle", [(0.999, 0.5), (0.999, 1e-5), (0.9999, 1e-5)])
+def test_classify_elliptic_near_the_circle(p0, angle):
+    # |kappa| misses 1 by more than 1e-12 here, so the normal form's
+    # attracting root is 1/conj(p0), outside the disc
+    s = de.make_automorphism("elliptic", angle=angle, fixed_point=p0)
+    cls = de.classify(s)
+    assert isinstance(cls, de.EllipticAutomorphism)
+    assert abs(cls.fixed_point - p0) <= 1e-8
+    with pytest.raises(de.EllipticInputError):
+        de.denjoy_wolff(s)
+
+
 def test_classify_blaschke_boundary_hyperbolic():
     # ((z + 0.6) / (1 + 0.6 z))^2 fixes 1 with derivative 2(1-a)/(1+a) = 0.5
     s = de.Blaschke(0.0, [-0.6, -0.6])
