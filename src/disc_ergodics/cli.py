@@ -215,6 +215,7 @@ def _cmd_density(args) -> int:
             "n": args.n,
             "min_estimate": min(d.estimate for d in estimates),
             "min_running_ratio": min(d.running_min_ratio for d in estimates),
+            "certified_step": estimates.certified_step,
         })
     low = min(d.estimate for d in estimates)
     print(f"minimum visit density over {len(estimates)} seeds: {low:.6f}")

@@ -14,6 +14,7 @@ symbols are classified by iteration plus Newton polishing.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from dataclasses import dataclass, fields
@@ -21,7 +22,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .symbols import (
-    Blaschke,
     Moebius,
     Symbol,
     Taylor,
@@ -43,6 +43,10 @@ DW_MAX_ITER_DEFAULT = 10**6
 DW_TOL_DEFAULT = 1e-6
 BOUNDARY_PROXIMITY_TOL = 1e-6
 FIXED_POINT_RESIDUAL_TOL = 1e-8
+# Relative defect of the automorphism identity taken as rounding: the double
+# coefficients of make_automorphism("elliptic", ...) miss it by up to 7e-11
+# when they cancel (a map near the identity, with p near the circle).
+AUTOMORPHISM_TOL = 1e-10
 
 
 class EllipticInputError(ValueError):
@@ -158,14 +162,24 @@ def _double_normal_form(m: Moebius) -> tuple[complex, complex | None, complex]:
     return p, q, kappa
 
 
-def _interior_rotation(s: Symbol, m: Moebius) -> tuple[complex, complex] | None:
-    """(p, kappa/|kappa|) when s, with Moebius form m, is an elliptic
-    automorphism fixing p in the disc, else None: the one test for
-    "elliptic".  Its fixed points p and 1/conj(p) stay apart however small
-    the angle, so they are not merged."""
-    if not (isinstance(s, Blaschke) or moebius_image_circle(m).is_unit_circle):
+def _interior_rotation(m: Moebius) -> tuple[complex, complex] | None:
+    """(p, kappa/|kappa|) when the Moebius map m is an elliptic automorphism
+    fixing p in the disc, else None: the one test for "elliptic".  Its fixed
+    points p and 1/conj(p) stay apart however small the angle, so they are
+    not merged.
+
+    m is an automorphism when its coefficients satisfy the identity
+    M* J M = |det M| J, J = diag(1, -1): conj(a) b = conj(c) d and
+    |a|^2 + |b|^2 = |c|^2 + |d|^2, here to AUTOMORPHISM_TOL relative to
+    |a|^2 + |b|^2 + |c|^2 + |d|^2.  Unlike the |d|^2 - |c|^2 of the image
+    circle, that scale does not cancel as p nears the circle.
+    """
+    a, b, c, d = m.a, m.b, m.c, m.d
+    defect = abs(a.conjugate() * b - c.conjugate() * d) + abs(
+        abs(a) ** 2 + abs(b) ** 2 - abs(c) ** 2 - abs(d) ** 2)
+    if defect > AUTOMORPHISM_TOL * (abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2):
         return None
-    p, q, kappa = _moebius_normal_form(m.a, m.b, m.c, m.d)
+    p, q, kappa = _moebius_normal_form(a, b, c, d)
     if q is not None and abs(q) < abs(p):  # taken when ||kappa| - 1| > 1e-12
         p, kappa = q, 1.0 / kappa
     if p is None or abs(p) >= 1.0 - BOUNDARY_PROXIMITY_TOL or abs(abs(kappa) - 1.0) > 1e-6:
@@ -205,9 +219,10 @@ def denjoy_wolff(s: Symbol, max_iter: int = DW_MAX_ITER_DEFAULT,
     """
     if _is_identity_probe(s):
         raise EllipticInputError("the identity has no Denjoy-Wolff point")
+    mo = _as_moebius(s)
+    if mo is not None and _interior_rotation(mo) is not None:
+        raise EllipticInputError("elliptic automorphism: it fixes an interior point")
     if isinstance(s, Moebius):
-        if _interior_rotation(s, s) is not None:
-            raise EllipticInputError("elliptic automorphism: it fixes an interior point")
         p, _, kappa = _double_normal_form(s)
         if abs(p) > 1.0 + 1e-8:
             raise UnclassifiableError("no fixed point of the Moebius map on the closed disc")
@@ -316,7 +331,7 @@ def classify(s: Symbol) -> SymbolClass:
         return Identity()
     mo = _as_moebius(s)
     if mo is not None:
-        rotation = _interior_rotation(s, mo)
+        rotation = _interior_rotation(mo)
         if rotation is not None:
             p, lam = rotation
             return EllipticAutomorphism(p, lam, _rotation_period(lam))
@@ -463,13 +478,17 @@ def boundary_periodic_points(s: Symbol, max_period: int,
     evaluation, bit for bit.  Every candidate must then pass the residual
     test, which also discards argument crossings where the modulus drops
     inside the disc (the symbol need not carry the circle onto itself).
-    Points are reported once, with their minimal period.
+    Points are reported once, with their minimal period, in order of their
+    angle in [0, 2 pi).
     """
     if max_period < 1 or max_period > 8:
         raise ValueError("max_period must be between 1 and 8")
     if _image_radius_bound(s) < 1.0 - 1e-10:
         return []
+    # the points found, sorted by their angles in [0, 2 pi); two points less
+    # than 1e-8 apart differ by less than 2e-8 in angle
     found: list[BoundaryPeriodicPoint] = []
+    angles: list[float] = []
 
     def register(t_root: float, period: int):
         q = cmath.exp(1j * t_root)
@@ -489,10 +508,15 @@ def boundary_periodic_points(s: Symbol, max_period: int,
             if abs(wd - q) <= FIXED_POINT_RESIDUAL_TOL:
                 minimal = d
                 break
-        for known in found:
-            if abs(known.point - q) < 1e-8:
-                return
-        found.append(BoundaryPeriodicPoint(q, minimal, residual))
+        angle = math.atan2(q.imag, q.real) % (2.0 * math.pi)
+        for shift in (0.0, 2.0 * math.pi, -2.0 * math.pi):
+            for i in range(bisect.bisect_left(angles, angle + shift - 2e-8),
+                           bisect.bisect_right(angles, angle + shift + 2e-8)):
+                if abs(found[i].point - q) < 1e-8:
+                    return
+        i = bisect.bisect_right(angles, angle)
+        angles.insert(i, angle)
+        found.insert(i, BoundaryPeriodicPoint(q, minimal, residual))
 
     t = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
     t_next = np.append(t[1:], 2.0 * np.pi)
@@ -522,7 +546,6 @@ def boundary_periodic_points(s: Symbol, max_period: int,
     for p in range(1, max_period + 1):
         for root in np.concatenate((t[gaps[p - 1] == 0.0], roots[period == p])):
             register(float(root), p)
-    found.sort(key=lambda bp: math.atan2(bp.point.imag, bp.point.real) % (2.0 * math.pi))
     return found
 
 

@@ -18,8 +18,8 @@ import mpmath as mp
 import numpy as np
 
 from . import dynamics
-from .symbols import (Blaschke, Orbit, Polynomial, Symbol, Taylor, _horner, _image_radius_bound,
-                      boundary_points, orbit_blocks)
+from .symbols import (Blaschke, Orbit, Polynomial, Symbol, Taylor, _closed_form, _horner,
+                      _image_radius_bound, boundary_points, orbit_blocks)
 from .weighted import VAlpha
 
 # Decision-rule tags carried by verdicts.  Stable identifiers: downstream
@@ -313,21 +313,86 @@ def _absorbed(w, dist, delta: float, r: float) -> np.ndarray:
         return (dist + delta) ** 2 * (1.0 + ABSORPTION_ROUNDING) < limit * gap
 
 
+def _lft_absorption(s: Symbol, z0: complex, r: float):
+    """The exact absorption test of a linear-fractional symbol: a function
+    saying whether the orbit of each point w provably stays in B(z0, r), or
+    None when the symbol has no closed form or no point can be certified.
+
+    In the coordinate y of ``symbols._ClosedForm`` (y = w for an affine map,
+    y = 1/(w - q) otherwise) the map is y -> kappa y + gamma.
+    - kappa = 1 (parabolic): y_m = y + m gamma, so |y_m| >= |y| once
+      Re(conj(y) gamma) >= 0, which has the sign of Re(gamma (w - q)).  A
+      point that also lies within rho = r - |z0 - q| of q stays there.
+    - |kappa| < 1: |y_m - y*| shrinks, y* = gamma/(1 - kappa), so the orbit
+      stays in B(z0, r) when |y - y*| + |y* - c'| <= R', with c' and R' the
+      centre and radius of the image of B(z0, r): conj(z0 - q)/D and r/D,
+      D = |z0 - q|^2 - r^2 (z0 and r for an affine map).  With u = w - q,
+      |y - y*| = |1 - y* u|/|u|, which needs no division.
+    Each test is asked with a rounding margin on every term, and on D
+    relative to the |z0 - q|^2 + r^2 that it cancels.  There is none when
+    the ball holds q, and none for |kappa| within 1e-12 of 1 but not 1:
+    there the map is elliptic up to rounding
+    (``symbols._moebius_normal_form``), and which side of 1 |kappa| falls on
+    is rounding too.  A seed on q, the repelling point, is never certified.
+    """
+    form = _closed_form(s)
+    if form is None:
+        return None
+    eps = ABSORPTION_ROUNDING
+    r = r / (1.0 + eps)
+    gamma, q = form.gamma, form.q
+    if form.kappa_m1 == 0:
+        if q is None:  # an affine map with kappa = 1 fixes no point, or every point
+            return None
+        rho = r - abs(z0 - q) * (1.0 + eps)
+        if rho <= 0.0:
+            return None
+
+        def parabolic(w):
+            u = w - q
+            return ((np.abs(u) * (1.0 + eps) <= rho)
+                    & ((gamma * u).real >= eps * abs(gamma) * np.abs(u)))
+        return parabolic
+    if not form.log_r < -1e-12:
+        return None
+    y_star = -gamma / form.kappa_m1
+    if q is None:
+        centre, radius, k = z0, r, eps
+    else:
+        d2 = abs(z0 - q) ** 2
+        D = d2 - r * r
+        if D <= eps * (d2 + r * r):  # the ball (nearly) holds q
+            return None
+        centre, radius, k = (z0 - q).conjugate() / D, r / D, eps * (d2 + r * r) / D
+    bound = radius - abs(y_star - centre) - k * (abs(centre) + radius) - eps * abs(y_star)
+    if bound <= 0.0:
+        return None
+
+    def contracting(w):
+        if q is None:
+            return np.abs(w - y_star) + eps <= bound
+        u = w - q
+        return np.abs(1.0 - y_star * u) + eps <= bound * np.abs(u)
+    return contracting
+
+
 def _visits(s: Symbol, seeds, z0: complex, radii, n: int, delta: float | None = None):
     """Visits of each seed's orbit to B(z0, r) for each radius r: the hit
     counts and the running minimum of hits(m)/m over m >= n/2, each of shape
     (len(radii), len(seeds)), and the step after which every orbit was
     certified to stay in every ball (None when all n steps were taken).
 
-    Without ``delta`` every step is taken.  With it, z0 is taken as a
+    Each orbit point is put to the absorption tests for the smallest
+    radius: ``_lft_absorption`` when the symbol is linear-fractional, and
+    ``_absorbed`` when ``delta`` is given.  With delta, z0 is taken as a
     boundary attracting point of the symbol, within delta of the exact one
-    zeta, and each orbit point is put to ``_absorbed`` for the smallest
-    radius.  Once every seed has had an absorbed point, by step a, each
-    later step hits every ball: hits(n) = hits(a) + n - a, and hits(m)/m =
-    1 - (a - hits(a))/m is nondecreasing for m > a, so the running minimum
-    over those m is its value at max(a + 1, n/2).  The steps up to a are
-    counted as they are taken; after a, the counts are those of the exact
-    orbit of the point taken at the absorption step.
+    zeta.  Every step is taken when neither test applies, or when some seed
+    is never absorbed.  Once every seed has had an absorbed point, by step
+    a, each later step hits every ball: hits(n) = hits(a) + n - a, and
+    hits(m)/m = 1 - (a - hits(a))/m is nondecreasing for m > a, so the
+    running minimum over those m is its value at max(a + 1, n/2).  The
+    steps up to a are counted as they are taken; after a, the counts are
+    those of the exact orbit of the point taken at the absorption step.
 
     Modelling assumption: like the snap rule of ``boundary_gap_witness``,
     the certificate takes the classification at its word.  The symbol is a
@@ -354,16 +419,19 @@ def _visits(s: Symbol, seeds, z0: complex, radii, n: int, delta: float | None = 
     if n < 1:
         raise ValueError("n must be >= 1")
     radii = np.asarray(radii, dtype=float)[:, None, None]
+    r_min = float(radii.min())
+    tests = [] if delta is None else [lambda w, dist: _absorbed(w, dist, delta, r_min)]
+    exact = _lft_absorption(s, complex(z0), r_min)
+    if exact is not None:
+        tests.append(lambda w, dist: exact(w))
     hits, min_ratio = 0, np.inf
-    if delta is not None:
-        r_min = float(radii.min())
-        absorbed_by = np.zeros(np.size(seeds), dtype=bool)
+    absorbed_by = np.zeros(np.size(seeds), dtype=bool)
     for m0, block in orbit_blocks(s, seeds, n):
         m = np.arange(m0 + 1, m0 + len(block) + 1)
         dist = np.abs(block - z0)
         rows = None
-        if delta is not None:
-            absorbed = _absorbed(block, dist, delta, r_min)
+        if tests:
+            absorbed = np.logical_or.reduce([test(block, dist) for test in tests])
             now = absorbed.any(axis=0)
             if np.all(absorbed_by | now):
                 # the row of the block where the last seed was absorbed
@@ -412,7 +480,9 @@ def orbit_density(s: Symbol, z: complex, z0: complex, radius: float,
 
     ``running_min_ratio`` is the smallest hits(m)/m over the second half
     m in [n/2, n]; a persistent low value is finite-N evidence that the
-    lower density of visits stays below one.
+    lower density of visits stays below one.  For a linear-fractional
+    symbol the orbit stops once it is certified to stay in the ball
+    (``_lft_absorption``), with the counts that stepping on would give.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -422,14 +492,30 @@ def orbit_density(s: Symbol, z: complex, z0: complex, radius: float,
                            int(hits[0, 0]) / n)
 
 
-def density_sweep(s: Symbol, seeds, z0: complex, radii, n: int) -> list[DensityEstimate]:
-    """orbit_density over many seeds and several radii at once."""
+class DensitySweep(list):
+    """The estimates of ``density_sweep``, radius by radius, and
+    ``certified_step``: the step after which every orbit was certified to
+    stay in every ball (None when every step was taken)."""
+
+    certified_step: int | None = None
+
+
+def density_sweep(s: Symbol, seeds, z0: complex, radii, n: int) -> DensitySweep:
+    """orbit_density over many seeds and several radii at once.
+
+    For a linear-fractional symbol the orbits stop once every one of them
+    is certified to stay in the smallest ball (``_lft_absorption``); the
+    estimates are those of stepping on, and ``certified_step`` names the
+    step.  Other symbols take every step."""
     seeds = np.asarray(seeds, dtype=complex)
     radii = [float(r) for r in radii]
-    hits, min_ratio, _ = _visits(s, seeds, complex(z0), radii, n)
-    return [DensityEstimate(complex(seed), r, n, int(hits[i, k]), float(min_ratio[i, k]),
-                            float(hits[i, k]) / n)
-            for i, r in enumerate(radii) for k, seed in enumerate(seeds)]
+    hits, min_ratio, step = _visits(s, seeds, complex(z0), radii, n)
+    sweep = DensitySweep(
+        DensityEstimate(complex(seed), r, n, int(hits[i, k]), float(min_ratio[i, k]),
+                        float(hits[i, k]) / n)
+        for i, r in enumerate(radii) for k, seed in enumerate(seeds))
+    sweep.certified_step = step
+    return sweep
 
 
 # ---------------------------------------------------------------------------

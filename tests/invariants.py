@@ -377,6 +377,101 @@ def check_density_certificate(cases: int = 100) -> int:
     return cases
 
 
+def reference_visits(s: de.Symbol, seeds, z0: complex, radii, n: int):
+    """Hit counts and running minima of hits(m)/m over m >= n/2, shaped
+    (len(radii), len(seeds)), from every row of ``orbit_blocks``."""
+    radii = np.asarray(radii, dtype=float)[:, None, None]
+    hits = np.zeros((len(radii), len(seeds)), dtype=np.int64)
+    min_ratio = np.full(hits.shape, np.inf)
+    for m0, block in de.symbols.orbit_blocks(s, seeds, n):
+        m = np.arange(m0 + 1, m0 + len(block) + 1)
+        counts = np.cumsum(np.abs(block - z0) < radii, axis=1) + hits[:, None, :]
+        hits = counts[:, -1]
+        late = m >= n // 2
+        min_ratio = np.minimum(min_ratio, (counts[:, late] / m[late, None]).min(
+            axis=1, initial=np.inf))
+    return hits, min_ratio
+
+
+def _random_lft_attractor(rng) -> tuple[de.Symbol, str]:
+    """A linear-fractional symbol and its family: parabolic automorphisms
+    fixing a quarter turn (kappa = 1 exactly) or a random point of the
+    circle, hyperbolic automorphisms, some rotated, tangent maps, affine
+    contractions, Moebius contractions (``random_moebius_contraction``),
+    degree-one Blaschke products and elliptic automorphisms."""
+    pick = rng.integers(0, 8)
+    u = cmath.exp(1j * rng.uniform(0, 2 * math.pi)) if rng.uniform() < 0.5 else 1.0
+    if pick == 0:
+        t = rng.uniform(0.3, 3.0) * (1.0 if rng.uniform() < 0.5 else -1.0)
+        u = 1j ** int(rng.integers(0, 4))
+        return de.Moebius(2j - t, t * u, -t * u.conjugate(), t + 2j), "parabolic"
+    if pick == 1:
+        return _rotated_parabolic(rng), "rotated parabolic"
+    if pick == 2:
+        mu = rng.uniform(0.1, 0.9)
+        return de.Moebius(1 + mu, (1 - mu) * u, (1 - mu) * u.conjugate(), 1 + mu), "hyperbolic"
+    if pick == 3:
+        t = rng.uniform(0.1, 0.9)
+        return de.Moebius(1 - t, t * u, 0.0, 1.0), "tangent"
+    if pick == 4:
+        a = rng.uniform(0.05, 0.95) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+        b = (1.0 - abs(a)) * rng.uniform(0.3, 1.0) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+        return de.Polynomial([b, a]), "affine"
+    if pick == 5:
+        return de.Blaschke(rng.uniform(0, 2 * math.pi), [_random_interior(rng, 0.9)]), "blaschke"
+    if pick == 6:
+        return random_moebius_contraction(rng), "contraction"
+    return de.make_automorphism("elliptic", angle=rng.uniform(0.1, 6.0),
+                                fixed_point=_random_interior(rng, 0.9)), "elliptic"
+
+
+def check_lft_density_certificate(cases: int = 100) -> int:
+    """``density_sweep`` on linear-fractional symbols, which stops once the
+    exact absorption test certifies every orbit, gives the hit counts and
+    running minima of every row of ``orbit_blocks``, bit for bit.
+
+    Seeds on the circle and inside the disc, one to three radii, n up to
+    10^4 and z0 from ``classify``.  Orbits of a parabolic automorphism with
+    kappa = 1 from circle seeds are certified by n >= 1000; a seed on the
+    repelling fixed point, and an elliptic automorphism, never are.
+    """
+    rng = np.random.default_rng(SEED + 9)
+    certified = 0
+    for _ in range(cases):
+        s, family = _random_lft_attractor(rng)
+        cls = de.classify(s)
+        elliptic = isinstance(cls, de.EllipticAutomorphism)
+        z0 = cls.fixed_point if elliptic else cls.z0
+        radii = sorted(rng.choice([0.5, 0.2, 0.1, 0.05, 0.02], int(rng.integers(1, 4)),
+                                  replace=False))
+        count = int(rng.integers(1, 13))
+        toward = z0 / abs(z0) if abs(z0) > 0.5 else 1.0
+        seeds = np.exp(2j * np.pi * (np.arange(count) + 0.5) / count) * toward
+        circle = family == "parabolic" or (family != "elliptic" and rng.uniform() < 0.5)
+        if not circle:
+            # inside the disc, one seed within a quarter of the least radius of z0
+            seeds[::2] *= rng.uniform(0.0, 1.0, seeds[::2].shape)
+            seeds[0] = z0 - 0.25 * radii[0] * toward
+        repelling = family == "hyperbolic" and rng.uniform() < 0.3
+        if repelling:
+            seeds[-1] = de.symbols._closed_form(s).q
+        low = 3.0 if family == "parabolic" else 0.0
+        n = int(10.0 ** rng.uniform(low, 4.0))
+        sweep = de.density_sweep(s, seeds, z0, radii, n)
+        hits, min_ratio = reference_visits(s, seeds, z0, radii, n)
+        assert [d.hits for d in sweep] == hits.ravel().tolist(), (s, seeds, radii, n)
+        assert [d.running_min_ratio for d in sweep] == min_ratio.ravel().tolist(), (s, seeds, n)
+        step = sweep.certified_step
+        assert step is None or 0 < step < n, (s, step)
+        if family == "parabolic":
+            assert step is not None, (s, seeds, radii, n)
+        if repelling or elliptic:
+            assert step is None, (s, seeds, radii, n)
+        certified += step is not None
+    assert certified >= cases // 3, certified
+    return cases
+
+
 class CountingSymbol(de.Symbol):
     """Wraps a symbol and counts its evaluations; the engine steps it."""
 
@@ -454,5 +549,6 @@ ALL_CHECKS = {
     "boundary_periodic_points": check_boundary_periodic_points,
     "orbit_closed_form": check_orbit_closed_form,
     "density_certificate": check_density_certificate,
+    "lft_density_certificate": check_lft_density_certificate,
     "orbit_early_exit": check_orbit_early_exit,
 }

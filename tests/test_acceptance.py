@@ -282,3 +282,20 @@ def test_criterion_15_weight_construction():
     assert all(w.C == weights[0].C for w in weights)
     assert weights[0](0.5) == 1.0 and weights[0](1.0 - 1e-6) < 0.1
     _report(15, "v_alpha weight construction", elapsed, 0.25, f"{len(weights)} weights")
+
+
+def test_criterion_16_density_sweeps_at_the_cost_of_their_certificate():
+    # the baseline sweep of the benchmark: parab, 31 circle seeds, 3 radii
+    parab = de.gallery_symbol("parab")
+    seeds = np.exp(2j * np.pi * np.arange(1, 32) / 32)
+    radii, n = (0.5, 0.1, 0.02), 10**5
+    t0 = time.perf_counter()
+    sweep = de.density_sweep(parab, seeds, 1.0, radii, n)
+    elapsed = time.perf_counter() - t0
+    hits, min_ratio = invariants.reference_visits(parab, seeds, 1.0, radii, n)
+    assert [d.hits for d in sweep] == hits.ravel().tolist()
+    assert [d.running_min_ratio for d in sweep] == min_ratio.ravel().tolist()
+    assert [d.estimate for d in sweep] == (hits.ravel() / n).tolist()
+    assert sweep.certified_step is not None
+    _report(16, "density sweeps at the cost of their certificate", elapsed, 0.05,
+            f"certified at step {sweep.certified_step} of {n}")

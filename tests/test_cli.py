@@ -97,6 +97,17 @@ def test_density_command(tmp_path):
     assert len(rows) > 1
 
 
+@pytest.mark.parametrize("name, certified", [("tangent", True), ("blend_half", False)])
+def test_density_report_names_the_certified_step(tmp_path, name, certified):
+    # the affine tangent map is certified within a few steps; the quadratic
+    # blend has no closed form, and every step is taken
+    sym = _write_gallery(tmp_path, name)
+    assert cli.main(["density", "--symbol", sym, "--radius", "0.1", "--N", "1000",
+                     "--seeds", "8", "--format", "report", "--out", str(tmp_path)]) == 0
+    step = cli.load_report(str(tmp_path / "density_report.json"))["certified_step"]
+    assert (step is not None) == certified and (step is None or 0 < step < 1000)
+
+
 def test_weyl_command(tmp_path):
     sym = _write_gallery(tmp_path, "rot_golden")
     code = cli.main(["weyl", "--symbol", sym, "--z", "1", "--N", "10000",

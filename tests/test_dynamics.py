@@ -1,5 +1,6 @@
 import cmath
 import math
+import time
 from fractions import Fraction
 
 import mpmath as mp
@@ -71,6 +72,14 @@ def test_dw_tangent_iterative_polynomial():
     assert abs(res.point - 1.0) <= 1e-5
     assert 5 <= res.iterations_used <= 40  # closed form 1 - 2^-n
     assert res.convergence_rate_estimate == pytest.approx(0.5, abs=1e-6)
+
+
+def test_dw_refuses_an_elliptic_blaschke_factor_at_once():
+    # a degree-one Blaschke product is linear-fractional: no orbit is stepped
+    t0 = time.perf_counter()
+    with pytest.raises(de.EllipticInputError):
+        de.denjoy_wolff(de.Blaschke(1.0, [0.3]))
+    assert time.perf_counter() - t0 < 0.01
 
 
 def test_dw_hyperbolic_picks_attracting_side():
@@ -193,10 +202,12 @@ def test_classify_elliptic_with_a_small_angle(angle, p0):
         de.denjoy_wolff(s)
 
 
-@pytest.mark.parametrize("p0, angle", [(0.999, 0.5), (0.999, 1e-5), (0.9999, 1e-5)])
+@pytest.mark.parametrize("p0, angle", [(0.999, 0.5), (0.999, 1e-5), (0.9999, 1e-5),
+                                        (0.9999, 0.5), (0.999, 3.0), (1.0 - 2e-6, 1e-3)])
 def test_classify_elliptic_near_the_circle(p0, angle):
     # |kappa| misses 1 by more than 1e-12 here, so the normal form's
-    # attracting root is 1/conj(p0), outside the disc
+    # attracting root is 1/conj(p0), outside the disc; and the image circle's
+    # |d|^2 - |c|^2 cancels, so that the last three miss its unit-circle test
     s = de.make_automorphism("elliptic", angle=angle, fixed_point=p0)
     cls = de.classify(s)
     assert isinstance(cls, de.EllipticAutomorphism)

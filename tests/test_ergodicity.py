@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import disc_ergodics as de
-from invariants import check_cesaro_power_boundedness, random_automorphism
+from invariants import (check_cesaro_power_boundedness, check_lft_density_certificate,
+                        random_automorphism)
 
 HALF = de.Moebius(1, 0, 0, 2)
 HYPERBOLIC = de.Moebius(2, 1, 1, 2)
@@ -177,6 +178,51 @@ def test_density_sweep_matches_scalar():
         assert single.running_min_ratio == pytest.approx(d.running_min_ratio, abs=1e-12)
 
 
+def test_density_sweep_names_its_certified_step():
+    seeds = np.exp(2j * np.pi * np.arange(1, 8) / 8.0)
+    assert de.density_sweep(PARABOLIC, seeds, 1.0, [0.1], 5000).certified_step < 5000
+    assert de.density_sweep(HYPERBOLIC, seeds, 1.0, [0.1], 5000).certified_step < 5000
+    # a seed on the repelling point -1 is never absorbed
+    assert de.density_sweep(HYPERBOLIC, np.append(seeds, -1.0), 1.0, [0.1],
+                            5000).certified_step is None
+    assert de.density_sweep(ZSQ, 0.5 * seeds, 0.0, [0.1], 50).certified_step is None
+
+
+# ---------------------------------------------------------------------------
+# exact absorption of linear-fractional orbits
+
+def test_lft_absorption_applies_only_where_it_certifies():
+    absorption = de.ergodicity._lft_absorption
+    assert absorption(ZSQ, 0.0, 0.1) is None  # no closed form
+    assert absorption(HYPERBOLIC, 1.0, 2.5) is None  # the ball holds both fixed points
+    # |kappa| = 1 - 3.6e-15 in its closed form: elliptic up to rounding
+    assert absorption(de.make_automorphism("elliptic", angle=1.0, fixed_point=0.9j),
+                      0.9j, 0.05) is None
+    assert absorption(PARABOLIC, 0.5, 0.1) is None  # the ball misses the fixed point
+    assert not absorption(HYPERBOLIC, 1.0, 0.1)(np.array([-1.0 + 0j]))[0]
+
+
+@pytest.mark.parametrize("s, z0", [
+    (PARABOLIC, 1.0), (HYPERBOLIC, 1.0), (TANGENT, 1.0), (HALF, 0.0),
+    (de.Blaschke(0.5, [0.4 - 0.3j]), None),
+    (de.moebius_product(de.make_automorphism("elliptic", angle=1.0, fixed_point=0.3),
+                        de.Moebius(0.95, 0.0, 0.0, 1.0)), None)])
+def test_lft_absorbed_orbits_stay_in_the_ball(s, z0):
+    # later points of absorbed orbits, in closed form, are in B(z0, r); the
+    # last map spirals into its interior fixed point
+    if z0 is None:
+        z0 = de.classify(s).z0
+    rng = np.random.default_rng(11)
+    steps = np.unique(np.geomspace(1, 10**5, 300).astype(np.int64))
+    form = de.symbols._closed_form(s)
+    for r in (0.3, 0.05):
+        w = z0 + 2.0 * r * np.sqrt(rng.uniform(size=1000)) * np.exp(2j * np.pi * rng.random(1000))
+        w = w[np.abs(w) <= 1.0]
+        absorbed = de.ergodicity._lft_absorption(s, complex(z0), r)(w)
+        assert 50 <= absorbed.sum() < len(w)
+        assert np.all(np.abs(form.iterates(w[absorbed], steps) - z0) < r)
+
+
 # ---------------------------------------------------------------------------
 # horodisc certificate of the density route
 
@@ -238,6 +284,10 @@ def test_density_certificate_matches_full_stepping():
             assert np.array_equal(full[0], fast[0]) and np.array_equal(full[1], fast[1])
             assert fast[2] is None or fast[2] < n
         assert (fast[2] is not None) == certified, s
+
+
+def test_lft_density_certificate_matches_every_row():
+    assert check_lft_density_certificate(100) >= 100
 
 
 def test_attractor_error_bound_checks_its_hypothesis():
