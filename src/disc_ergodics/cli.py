@@ -42,7 +42,7 @@ import sys
 import numpy as np
 
 from . import dynamics, ergodicity, gallery, weighted
-from .symbols import SymbolError, boundary_points, iterate, parse_symbol
+from .symbols import SymbolError, _is_inner, iterate, parse_symbol
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -188,7 +188,7 @@ def _cmd_density(args) -> int:
     s = _load_symbol(args.symbol)
     z0 = args.z0
     # |phi| = 1 on the circle: a Blaschke product, however it is given
-    inner = bool(np.all(np.abs(np.abs(s(boundary_points(512))) - 1.0) <= 1e-9))
+    inner = _is_inner(s)
     cls = dynamics.classify(s) if z0 is None or inner else None
     # whatever the target, before any seed is stepped
     if inner and isinstance(cls, dynamics.InteriorDW):

@@ -27,6 +27,7 @@ from .symbols import (
     Taylor,
     _as_moebius,
     _image_radius_bound,
+    _is_inner,
     _moebius_normal_form,
     disc_grid,
     moebius_image_circle,
@@ -43,10 +44,6 @@ DW_MAX_ITER_DEFAULT = 10**6
 DW_TOL_DEFAULT = 1e-6
 BOUNDARY_PROXIMITY_TOL = 1e-6
 FIXED_POINT_RESIDUAL_TOL = 1e-8
-# Relative defect of the automorphism identity taken as rounding: the double
-# coefficients of make_automorphism("elliptic", ...) miss it by up to 7e-11
-# when they cancel (a map near the identity, with p near the circle).
-AUTOMORPHISM_TOL = 1e-10
 
 
 class EllipticInputError(ValueError):
@@ -167,19 +164,10 @@ def _interior_rotation(m: Moebius) -> tuple[complex, complex] | None:
     fixing p in the disc, else None: the one test for "elliptic".  Its fixed
     points p and 1/conj(p) stay apart however small the angle, so they are
     not merged.
-
-    m is an automorphism when its coefficients satisfy the identity
-    M* J M = |det M| J, J = diag(1, -1): conj(a) b = conj(c) d and
-    |a|^2 + |b|^2 = |c|^2 + |d|^2, here to AUTOMORPHISM_TOL relative to
-    |a|^2 + |b|^2 + |c|^2 + |d|^2.  Unlike the |d|^2 - |c|^2 of the image
-    circle, that scale does not cancel as p nears the circle.
     """
-    a, b, c, d = m.a, m.b, m.c, m.d
-    defect = abs(a.conjugate() * b - c.conjugate() * d) + abs(
-        abs(a) ** 2 + abs(b) ** 2 - abs(c) ** 2 - abs(d) ** 2)
-    if defect > AUTOMORPHISM_TOL * (abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2):
+    if not _is_inner(m):
         return None
-    p, q, kappa = _moebius_normal_form(a, b, c, d)
+    p, q, kappa = _moebius_normal_form(m.a, m.b, m.c, m.d)
     if q is not None and abs(q) < abs(p):  # taken when ||kappa| - 1| > 1e-12
         p, kappa = q, 1.0 / kappa
     if p is None or abs(p) >= 1.0 - BOUNDARY_PROXIMITY_TOL or abs(abs(kappa) - 1.0) > 1e-6:
@@ -351,31 +339,18 @@ def classify(s: Symbol) -> SymbolClass:
         point = dw.point
     except NonConvergenceError as exc:
         point = exc.last_point
-        if point is None:
-            raise UnclassifiableError("orbit produced no candidate point") from exc
-    if taylor:
-        if abs(point) < 1.0 - BOUNDARY_PROXIMITY_TOL:
-            residual = abs(complex(s(point)) - point)
-            if residual > FIXED_POINT_RESIDUAL_TOL:
-                raise UnclassifiableError(
-                    f"orbit limit residual {residual:.3g} exceeds tolerance"
-                )
-            return InteriorDW(point, abs(complex(s.derivative(point))))
-        z0 = point / abs(point)
-        if abs(complex(s(z0)) - z0) > FIXED_POINT_RESIDUAL_TOL:
-            raise UnclassifiableError(
-                "boundary candidate is not fixed within tolerance"
-            )
-        return _boundary_class(s, z0)
-    polished = _polish_fixed_point(s, point)
-    residual = abs(complex(s(polished)) - polished)
+    if not taylor:
+        point = _polish_fixed_point(s, point)
+    elif abs(point) >= 1.0 - BOUNDARY_PROXIMITY_TOL:
+        point = point / abs(point)
+    residual = abs(complex(s(point)) - point)
     if residual > FIXED_POINT_RESIDUAL_TOL:
         raise UnclassifiableError(
             f"fixed-point residual {residual:.3g} exceeds {FIXED_POINT_RESIDUAL_TOL:g}"
         )
-    if abs(polished) < 1.0 - BOUNDARY_PROXIMITY_TOL:
-        return InteriorDW(polished, abs(complex(s.derivative(polished))))
-    return _boundary_class(s, polished)
+    if abs(point) < 1.0 - BOUNDARY_PROXIMITY_TOL:
+        return InteriorDW(point, abs(complex(s.derivative(point))))
+    return _boundary_class(s, point)
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +374,14 @@ def sup_distance_sequence(s: Symbol, z0: complex, n_max: int,
     """Grid sup of |phi^n - z0| for n = 1..n_max.
 
     The conjugation-invariant decay statistic for an interior attracting
-    point z0: it reduces to the plain sup norm when z0 = 0.
+    point z0: it reduces to the plain sup norm when z0 = 0.  When phi maps
+    the circle onto itself (``symbols._is_inner``), so does every phi^n: the
+    sup over the closed disc is then 1 + |z0|, returned without stepping.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    if _is_inner(s):
+        return np.full(n_max, 1.0 + abs(z0))
     out = np.empty(n_max)
     for m0, block in orbit_blocks(s, disc_grid(boundary_samples, radial_samples), n_max):
         out[m0:m0 + len(block)] = np.max(np.abs(block - z0), axis=1)
@@ -492,22 +471,14 @@ def boundary_periodic_points(s: Symbol, max_period: int,
 
     def register(t_root: float, period: int):
         q = cmath.exp(1j * t_root)
-        w = q
+        orbit = [q]
         for _ in range(period):
-            w = complex(s(w))
-        residual = abs(w - q)
+            orbit.append(complex(s(orbit[-1])))
+        residual = abs(orbit[period] - q)
         if residual > 1e-10:
             return
-        minimal = period
-        for d in range(1, period):
-            if period % d:
-                continue
-            wd = q
-            for _ in range(d):
-                wd = complex(s(wd))
-            if abs(wd - q) <= FIXED_POINT_RESIDUAL_TOL:
-                minimal = d
-                break
+        minimal = next((d for d in range(1, period) if period % d == 0
+                        and abs(orbit[d] - q) <= FIXED_POINT_RESIDUAL_TOL), period)
         angle = math.atan2(q.imag, q.real) % (2.0 * math.pi)
         for shift in (0.0, 2.0 * math.pi, -2.0 * math.pi):
             for i in range(bisect.bisect_left(angles, angle + shift - 2e-8),

@@ -18,8 +18,8 @@ import mpmath as mp
 import numpy as np
 
 from . import dynamics
-from .symbols import (Blaschke, Orbit, Polynomial, Symbol, Taylor, _closed_form, _horner,
-                      _image_radius_bound, boundary_points, orbit_blocks)
+from .symbols import (Orbit, Polynomial, Symbol, Taylor, _closed_form, _horner,
+                      _image_radius_bound, _is_inner, boundary_points, orbit_blocks)
 from .weighted import VAlpha
 
 # Decision-rule tags carried by verdicts.  Stable identifiers: downstream
@@ -833,23 +833,21 @@ def _boundary_verdict(s: Symbol, space: str, cls, budgets: VerdictBudgets) -> Er
         return ErgodicityVerdict(space, UNKNOWN, UNKNOWN, TAG_BOUNDARY_DW, evidence)
     # Disc algebra: uniform mean ergodicity always fails at a boundary
     # attracting point; mean ergodicity follows the exact dichotomies for
-    # Moebius and Blaschke symbols, the density experiment otherwise.
+    # Moebius and inner symbols (``_is_inner``), the density experiment otherwise.
+    inner = _is_inner(s)
     mo = dynamics._as_moebius(s)
     if mo is not None:
-        circle = dynamics.moebius_image_circle(mo)
-        evidence.append(("image_is_unit_circle", circle.is_unit_circle))
-        if circle.is_unit_circle:
-            if parabolic:
-                return ErgodicityVerdict(space, YES, NO,
-                                         f"{TAG_LFT} + {TAG_BOUNDARY_DW}", evidence)
+        # Prop 3.9: mean ergodic unless a hyperbolic automorphism
+        evidence.append(("image_is_unit_circle", inner))
+        if not inner:
+            circle = dynamics.moebius_image_circle(mo)
+            evidence.append(("tangency_gap",
+                             abs((1.0 - abs(circle.center)) - circle.radius)))
+        elif not parabolic:
             evidence.append(("repelling_fixed_point", "present (hyperbolic automorphism)"))
-            return ErgodicityVerdict(space, NO, NO,
-                                     f"{TAG_LFT} + {TAG_BOUNDARY_DW}", evidence)
-        evidence.append(("tangency_gap",
-                         abs((1.0 - abs(circle.center)) - circle.radius)))
-        return ErgodicityVerdict(space, YES, NO,
+        return ErgodicityVerdict(space, NO if inner and not parabolic else YES, NO,
                                  f"{TAG_LFT} + {TAG_BOUNDARY_DW}", evidence)
-    if isinstance(s, Blaschke):  # of degree two or more: degree one has a Moebius form
+    if inner:  # a Blaschke product of degree two or more
         evidence.append(("blaschke_degree", s.degree))
         return ErgodicityVerdict(space, NO, NO,
                                  f"{TAG_BLASCHKE} + {TAG_BOUNDARY_DW}", evidence)

@@ -29,6 +29,10 @@ UNIT_ROUNDOFF = 2.0**-53
 POLE_MARGIN = 1e-12
 DET_TOL = 1e-12
 TAYLOR_TRUNCATION_DEFAULT = 4096
+# Relative defect of the automorphism identity (``_is_inner``) taken as
+# rounding: make_automorphism("elliptic", ...) misses it by up to 7e-11 when
+# its coefficients cancel (a map near the identity, with p near the circle).
+AUTOMORPHISM_TOL = 1e-10
 
 
 class SymbolError(ValueError):
@@ -445,6 +449,32 @@ def _image_radius_bound(s: Symbol) -> float:
         circle = moebius_image_circle(s)
         return abs(circle.center) + circle.radius
     return math.inf
+
+
+def _is_inner(s: Symbol) -> bool:
+    """Whether phi maps the unit circle onto itself, read from the
+    coefficients.  Blaschke products do.  A linear-fractional map does when
+    it is an automorphism, M* J M = |det M| J with J = diag(1, -1):
+    conj(a) b = conj(c) d and |a|^2 + |b|^2 = |c|^2 + |d|^2, to
+    AUTOMORPHISM_TOL relative to their sum of squares (Cowen-MacCluer 1995,
+    ch. 0 and 2), a scale that does not cancel near the circle as the
+    |d|^2 - |c|^2 of ``moebius_image_circle`` does.  A polynomial or Taylor
+    symbol does when sum_{j != k} |c_j| + ||c_k| - 1| <= SELF_MAP_TOL, c_k
+    its largest coefficient: that sum bounds ||phi| - 1| on the circle.
+    """
+    if isinstance(s, Blaschke):
+        return True
+    mo = _as_moebius(s)
+    if mo is not None:
+        a, b, c, d = mo.a, mo.b, mo.c, mo.d
+        defect = abs(a.conjugate() * b - c.conjugate() * d) + abs(
+            abs(a) ** 2 + abs(b) ** 2 - abs(c) ** 2 - abs(d) ** 2)
+        return defect <= AUTOMORPHISM_TOL * (abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2)
+    if isinstance(s, (Polynomial, Taylor)):
+        moduli = [abs(c) for c in s.coeffs]
+        top = max(moduli)
+        return sum(moduli) - top + abs(top - 1.0) <= SELF_MAP_TOL
+    return False
 
 
 def _rounding_condition(s: Symbol) -> float:

@@ -59,6 +59,16 @@ def random_automorphism(rng) -> de.Moebius:
     return de.make_automorphism("parabolic", translation=rng.uniform(0.3, 2.0))
 
 
+def conjugated_hyperbolic(rng) -> de.Moebius:
+    """sigma_p h sigma_p: a hyperbolic automorphism h with multiplier
+    10^U(-3, -0.05), conjugated by the involution sigma_p exchanging 0 and
+    p, with 1 - |p| log-uniform in [1e-4, 1]."""
+    p = (1.0 - 10.0 ** rng.uniform(-4.0, 0.0)) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+    sigma = de.Moebius(-1.0, p, -p.conjugate(), 1.0)
+    h = de.make_automorphism("hyperbolic", multiplier=10.0 ** rng.uniform(-3.0, -0.05))
+    return de.moebius_product(sigma, de.moebius_product(h, sigma))
+
+
 def check_derivative_finite_difference(cases: int = 100) -> int:
     """Analytic derivative against the central difference with h = 1e-6."""
     rng = np.random.default_rng(SEED)
@@ -540,6 +550,30 @@ def check_orbit_early_exit(cases: int = 100) -> int:
     return cases
 
 
+def check_inner_predicate(cases: int = 100) -> int:
+    """``symbols._is_inner``, the one test for "phi maps the circle onto
+    itself", holds for Blaschke products, unimodular monomials (as
+    polynomials and as Taylor symbols) and automorphisms, and fails for
+    Moebius contractions, ``random_symbol`` polynomial and Taylor symbols,
+    and (z^2 + delta z)/(1 + delta) with delta >= 1e-8."""
+    rng = np.random.default_rng(SEED + 10)
+    is_inner = de.symbols._is_inner
+    for _ in range(cases):
+        s = random_symbol(rng)
+        assert is_inner(s) == isinstance(s, de.Blaschke), s
+        k, c = int(rng.integers(1, 6)), cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+        monomial = [0.0] * k + [c]
+        assert is_inner(de.Polynomial(monomial)) and is_inner(de.Taylor(monomial)), monomial
+        s = random_automorphism(rng)
+        assert is_inner(s), s
+        s = random_moebius_contraction(rng)
+        assert not is_inner(s), s
+        delta = 10.0 ** rng.uniform(-8.0, 0.0)
+        s = de.Polynomial([0.0, delta / (1.0 + delta), 1.0 / (1.0 + delta)])
+        assert not is_inner(s), s
+    return cases
+
+
 ALL_CHECKS = {
     "derivative_vs_finite_difference": check_derivative_finite_difference,
     "schwarz_monotonicity": check_schwarz_monotonicity,
@@ -551,4 +585,5 @@ ALL_CHECKS = {
     "density_certificate": check_density_certificate,
     "lft_density_certificate": check_lft_density_certificate,
     "orbit_early_exit": check_orbit_early_exit,
+    "inner_predicate": check_inner_predicate,
 }

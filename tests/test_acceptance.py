@@ -299,3 +299,19 @@ def test_criterion_16_density_sweeps_at_the_cost_of_their_certificate():
     assert sweep.certified_step is not None
     _report(16, "density sweeps at the cost of their certificate", elapsed, 0.05,
             f"certified at step {sweep.certified_step} of {n}")
+
+
+def test_criterion_17_one_inner_test():
+    # sigma_p h sigma_p, h hyperbolic: an automorphism however near the circle
+    # p lies, so mean ergodicity on A fails (Prop 3.9).  The image circle
+    # cancels in |d|^2 - |c|^2 there and read about a fifth of these as
+    # non-automorphisms, which are mean ergodic.
+    rng = np.random.default_rng(17)
+    symbols = [invariants.conjugated_hyperbolic(rng) for _ in range(1000)]
+    t0 = time.perf_counter()
+    for s in symbols:
+        v = de.verdict(s, "A")
+        assert (v.mean_ergodic, v.uniformly_mean_ergodic) == ("no", "no"), s
+        assert v.theorem_tag == "Prop 3.9 + Thm 3.5", s
+    _report(17, "one inner test", time.perf_counter() - t0, 3.0,
+            f"{len(symbols)} conjugated hyperbolic automorphisms, no/no")

@@ -378,6 +378,15 @@ def test_sup_norm_square_sticks_at_one():
     assert de.sup_norm_iterate(ZSQ, 4) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_sup_norms_of_an_inner_symbol_need_no_grid():
+    # phi^n maps the circle onto itself; stepping the grid's circle points,
+    # which carry |z| = 1 + O(2^-53), left the closed disc at step 24
+    z0 = 0.3 - 0.4j
+    for s in (de.gallery_symbol("zsq"), de.Polynomial([0, 0, 1])):
+        assert np.array_equal(de.sup_norm_sequence(s, 40), np.ones(40))
+        assert np.array_equal(dynamics.sup_distance_sequence(s, z0, 40), np.full(40, 1.0 + abs(z0)))
+
+
 def test_sup_norm_blend_does_not_vanish():
     # the boundary fixed point keeps the sup at one
     assert de.sup_norm_iterate(BLEND, 50) == pytest.approx(1.0, abs=1e-9)

@@ -560,6 +560,19 @@ def test_verdict_small_tangent_image_circle():
     assert evidence["tangency_gap"] <= 1e-15
 
 
+def test_verdict_conjugated_hyperbolic_near_the_circle():
+    # sigma_p h sigma_p with p = 0.999i: |phi| is within 4.4e-16 of 1 on
+    # 4096 circle points, but the image circle's |center| + |radius - 1|
+    # reads 2.8e-9 and made it a non-automorphism, mean ergodic
+    p = 0.999j
+    sigma = de.Moebius(-1, p, -p.conjugate(), 1)
+    h = de.make_automorphism("hyperbolic", multiplier=0.01)
+    v = de.verdict(de.moebius_product(sigma, de.moebius_product(h, sigma)), "A")
+    assert (v.mean_ergodic, v.uniformly_mean_ergodic) == ("no", "no")
+    assert v.theorem_tag == "Prop 3.9 + Thm 3.5"
+    assert dict(v.evidence)["image_is_unit_circle"] is True
+
+
 def test_verdict_generic_boundary_routes():
     # nonlinear global contraction toward 1: density evidence says yes
     s = de.Polynomial([0.19, 0.8, 0.01])
