@@ -606,11 +606,14 @@ class _ClosedForm:
     p, q and kappa are those of the double coefficients, found at 40 digits
     and rounded: the map iterated is the one that stepping iterates.
     kappa = e^{log_r + 2 pi i turns}, with ``turns`` a double-double.
-    |kappa| within ROTATION_SNAP_TOL of 1 is taken as 1, and turns that
-    close to a fraction (``rotation_fraction``) as that fraction, so that
-    phi^m repeats exactly; either snap changes phi^m by at most 1e-16 m
-    times the conjugation's distortion.  m turns are reduced to quarter
-    turns, exact, plus at most an eighth: kappa = -1 gives exactly -1.
+    |kappa| within ROTATION_SNAP_TOL of 1 is taken as 1, and turns within
+    it of a fraction (``rotation_fraction``), compared exactly, as that
+    fraction; either snap moves kappa^m by at most 2 pi 1e-16 m, and phi^m
+    by that times the conjugation's distortion.  Both together make an
+    exact rotation, unless kappa = 1: phi^m then depends on m only through
+    m mod ``period``, the fraction's denominator (None for other maps).
+    m turns are reduced to quarter turns, exact, plus at most an eighth:
+    kappa = -1 gives exactly -1.
     """
 
     def __init__(self, m: Moebius):
@@ -625,9 +628,11 @@ class _ClosedForm:
         if abs(self.log_r) <= ROTATION_SNAP_TOL:
             self.log_r = 0.0
         ratio = rotation_fraction(self.turns[0])
-        if abs(self.turns[0] - ratio) <= ROTATION_SNAP_TOL:
+        if abs(sum(map(Fraction, self.turns)) - ratio) <= Fraction(ROTATION_SNAP_TOL):
             self.turns = ratio
         self.kappa_m1 = self.powers(np.ones(1, dtype=np.int64))[1][0]
+        self.period = (self.turns.denominator if isinstance(self.turns, Fraction)
+                       and self.log_r == 0.0 and self.kappa_m1 != 0 else None)
 
     def powers(self, m: np.ndarray):
         """kappa^m and kappa^m - 1 for integers m >= 1."""
@@ -669,6 +674,10 @@ def _closed_form(s: Symbol) -> _ClosedForm | None:
     return s.__dict__["_closed_form"]
 
 
+def _bits(z: complex) -> bytes:
+    return struct.pack("2d", z.real, z.imag)
+
+
 def orbit_blocks(s: Symbol, seeds, n: int):
     """The orbits of the seeds for n steps, in blocks of consecutive iterates.
 
@@ -681,54 +690,60 @@ def orbit_blocks(s: Symbol, seeds, n: int):
     itself (the sup-norm grid): with one row per block the closed form has
     no steps to save.
 
-    A stepped orbit that repeats a row bit for bit ends early.  The row
-    saved at steps 0, 1, 2, 4, 8, ... is compared with each new row (Brent
-    1980); a match p steps later proves that the orbit repeats with period
-    p from there on, as the evaluator is a function of its input.  The next
-    p rows, when they fit in a block, are stepped once and tiled into the
-    rest of the orbit, so every block is exactly the stepped one.  A stepped
-    orbit that leaves the closed disc (a point not finite, or of modulus
-    above 1 + SELF_MAP_TOL) raises SymbolError naming the step.
+    An orbit that repeats with a period of at most one block is computed
+    through one period of the repeat, which is tiled into the rest of the
+    orbit, so every block is exactly the one computed row by row.  An exact
+    rotation (``_ClosedForm.period``) repeats from its first row.  A stepped
+    orbit, each row a function of the one before, stops at the first row
+    equal bit for bit to a row of its block or to the row before the block:
+    one period into its cycle, or within two when the cycle began before
+    the block.  With one row per block only the row before is compared, so
+    no key of the grid is hashed.  A stepped orbit that leaves the closed
+    disc (a point not finite, or of modulus above 1 + SELF_MAP_TOL) raises
+    SymbolError naming the step.
     """
     seeds = np.asarray(seeds, dtype=complex).ravel()
     rows = max(1, BLOCK_POINTS // max(1, len(seeds)))
     form = _closed_form(s) if rows > 1 else None
     one = len(seeds) == 1
     w = complex(seeds[0]) if one else seeds
-    # a row's key: its bytes, or for one seed the value, whose bits are
-    # compared on a match (0 == -0, but they print differently)
-    saved, saved_m, cycle = (w if one else w.tobytes()), 0, None
+    # a row's key: its bytes, or for one seed its value, whose bits are
+    # compared on a match (0 == -0, but they print differently); a value
+    # whose bits differ from its match's is keyed by its bits
+    key, cycle = (w if one else w.tobytes()), None
+    if form is not None and form.period is not None and form.period <= rows:
+        start, cycle = 0, form.iterates(seeds, np.arange(1, min(form.period, n) + 1))
     for m0 in range(0, n, rows):
         count = min(rows, n - m0)
+        if cycle is not None:
+            yield m0, cycle[(np.arange(m0, m0 + count) - start) % len(cycle)]
+            continue
         if form is not None:
             yield m0, form.iterates(seeds, np.arange(m0 + 1, m0 + count + 1))
             continue
-        points = []
+        points = [w if one else None]  # the row before the block (one seed's), then its rows
+        # the index of the row a key repeats, or i for a new one, which is kept
+        seen = {key: 0}.setdefault if rows > 1 else lambda k, i, last=key: i - (k == last)
         with np.errstate(over="ignore", invalid="ignore"):  # the disc check reports it
-            for m in range(m0 + 1, m0 + count + 1) if cycle is None else ():
+            for i in range(1, count + 1):
                 w = complex(s(w)) if one else s(w)
                 points.append(w)
                 key = w if one else w.tobytes()
-                if key == saved and m - saved_m <= rows and (
-                        not one or struct.pack("2d", w.real, w.imag)
-                        == struct.pack("2d", saved.real, saved.imag)):
-                    period, start, cycle = m - saved_m, m, []
-                    for _ in range(min(period, n - m)):
-                        w = complex(s(w)) if one else s(w)
-                        cycle.append(w)
-                    cycle = np.array(cycle).reshape(len(cycle), len(seeds))
+                j = seen(key, i)
+                if j != i and one and _bits(w) != _bits(points[j]):
+                    j = seen(_bits(w), i)  # 0 == -0: this value is keyed by its bits
+                if j != i:
+                    start, cycle = m0 + j, np.array(points[j + 1:]).reshape(i - j, len(seeds))
                     break
-                if m & (m - 1) == 0:
-                    saved, saved_m = key, m
         # a lone row of a large grid is passed on as it is, not copied
-        block = points[0][None] if len(points) == 1 and not one else \
-            np.array(points).reshape(len(points), len(seeds))
+        block = points[1][None] if len(points) == 2 and not one else \
+            np.array(points[1:]).reshape(len(points) - 1, len(seeds))
         outside = ~(np.abs(block) <= 1.0 + SELF_MAP_TOL).all(axis=1)
         if outside.any():
             raise SymbolError(f"orbit leaves the closed disc at step {m0 + 1 + np.argmax(outside)}")
-        if cycle is not None:  # its rows repeat rows checked above
-            tiled = cycle[(np.arange(m0 + len(points), m0 + count) - start) % period]
-            block = np.concatenate((block, tiled))
+        if len(block) < count:  # the rest repeats rows computed above
+            tail = cycle[(np.arange(m0 + len(block), m0 + count) - start) % len(cycle)]
+            block = np.concatenate((block, tail))
         yield m0, block
 
 

@@ -507,6 +507,42 @@ def stepped_orbit(s: de.Symbol, seeds, n: int) -> np.ndarray:
     return np.array(rows).reshape(n, len(seeds))
 
 
+# Orbits of the 25-seed grid that repeat in doubles, from the benchmark's
+# orbit_sweeps workload: rows of 0 and -0 alternate from step 971, and rows
+# of +-5e-324 and 0 repeat with period 4 from step 1111.
+GRID_25 = (np.array([0.1, 0.3, 0.5, 0.7, 0.9])[:, None]
+           * np.exp(2j * np.pi * np.arange(5) / 5)[None, :]).ravel()
+SIGNED_ZEROS = de.Blaschke(6.063071150875708, [0.0, 0.2742704144576519 + 0.37279115237706933j])
+SUBNORMALS = de.Polynomial([0.0, -0.022056292374058584 + 0.5108417611523692j,
+                            0.25765419349931257 + 0.12761170789248122j])
+
+
+def stepped_cycle(s: de.Symbol, seeds, n: int) -> tuple[int, int] | None:
+    """(onset, period) of the first repeat in n rows of the plain step
+    loop: row onset + period is, bit for bit, row onset, the seeds being
+    row 0.  None when no row repeats."""
+    seeds = np.asarray(seeds, dtype=complex).ravel()
+    first = {seeds.tobytes(): 0}
+    for m, row in enumerate(stepped_orbit(s, seeds, n), 1):
+        onset = first.setdefault(row.tobytes(), m)
+        if onset != m:
+            return onset, m - onset
+    return None
+
+
+def count_iterate_rows(monkeypatch) -> list:
+    """Patches ``_ClosedForm.iterates`` to record the number of rows each
+    call asks for; returns the record."""
+    asked, iterates = [], de.symbols._ClosedForm.iterates
+
+    def counting(form, seeds, m):
+        asked.append(len(m))
+        return iterates(form, seeds, m)
+
+    monkeypatch.setattr(de.symbols._ClosedForm, "iterates", counting)
+    return asked
+
+
 def check_engine_matches_stepping(s: de.Symbol, seeds, n: int, want=None) -> int:
     """``orbit_blocks(s, seeds, n)`` gives the rows of the plain step loop
     (``want``, its first n rows taken) bit for bit, or, where that loop

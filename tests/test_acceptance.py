@@ -315,3 +315,32 @@ def test_criterion_17_one_inner_test():
         assert v.theorem_tag == "Prop 3.9 + Thm 3.5", s
     _report(17, "one inner test", time.perf_counter() - t0, 3.0,
             f"{len(symbols)} conjugated hyperbolic automorphisms, no/no")
+
+
+def test_criterion_18_repeating_orbits_cost_one_period(monkeypatch):
+    # stepped orbits that settle into a cycle in doubles, at n = 10^5: the
+    # cycle's onset and period come from the plain step loop
+    t0 = time.perf_counter()
+    grid = invariants.GRID_25
+    shapes = [de.gallery_symbol("zsq"), de.gallery_symbol("blend_half"),
+              invariants.SIGNED_ZEROS, invariants.SUBNORMALS]
+    evaluations = []
+    for s in shapes:
+        onset, period = invariants.stepped_cycle(s, grid, 2000)
+        counting = invariants.CountingSymbol(s)
+        blocks = list(de.symbols.orbit_blocks(counting, grid, 10**5))
+        assert sum(len(block) for _, block in blocks) == 10**5
+        assert counting.calls <= onset + 2 * period, (s, counting.calls, onset, period)
+        evaluations.append(counting.calls)
+    # the final means of a rotation of order q ask the closed form for q rows
+    asked = invariants.count_iterate_rows(monkeypatch)
+    coeffs = [1.0] * 10
+    for p, q in ((1, 2), (2, 3), (3, 5), (3, 8), (5, 12)):
+        rot = de.Moebius(cmath.exp(2j * math.pi * p / q), 0, 0, 1)
+        asked.clear()
+        means = de.cesaro_final_means(rot, de.TaylorFn(coeffs), grid, 5040)
+        assert sum(asked) <= q, (p, q, asked)
+        limit = de.TaylorFn(de.rotation_cesaro_limit(q, coeffs))(grid)
+        assert float(np.max(np.abs(means - limit))) <= 1e-10, (p, q)
+    _report(18, "repeating orbits cost one period", time.perf_counter() - t0, 2.0,
+            f"{sum(evaluations)} evaluations for 4 x 10^5 stepped rows")

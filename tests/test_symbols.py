@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -10,11 +11,16 @@ import disc_ergodics as de
 from disc_ergodics import symbols
 from disc_ergodics.symbols import _as_moebius, _closed_form, orbit_blocks
 from invariants import (
+    GRID_25,
+    SIGNED_ZEROS,
+    SUBNORMALS,
     CountingSymbol,
     check_derivative_finite_difference,
     check_engine_matches_stepping,
     check_orbit_closed_form,
     check_schwarz_monotonicity,
+    count_iterate_rows,
+    stepped_cycle,
     stepped_orbit,
 )
 
@@ -186,16 +192,6 @@ def test_orbit_closed_form_invariants():
     assert check_orbit_closed_form(100) >= 100
 
 
-# Orbits of the 25-seed grid that repeat in doubles, from the benchmark's
-# orbit_sweeps workload: rows of 0 and -0 alternate from step 971, and rows
-# of +-5e-324 and 0 repeat with period 4 from step 1111.
-GRID_25 = (np.array([0.1, 0.3, 0.5, 0.7, 0.9])[:, None]
-           * np.exp(2j * np.pi * np.arange(5) / 5)[None, :]).ravel()
-SIGNED_ZEROS = de.Blaschke(6.063071150875708, [0.0, 0.2742704144576519 + 0.37279115237706933j])
-SUBNORMALS = de.Polynomial([0.0, -0.022056292374058584 + 0.5108417611523692j,
-                            0.25765419349931257 + 0.12761170789248122j])
-
-
 def test_repeating_orbits_are_told_apart_bit_for_bit():
     rows = stepped_orbit(SIGNED_ZEROS, GRID_25, 1000)
     # equal as values: a value rule would take this period-2 cycle for a
@@ -228,6 +224,93 @@ def test_repeating_orbit_is_not_evaluated_to_the_end():
     assert sum(len(b) for _, b in blocks) == 10**5
     assert all(b.flags.writeable and b.shape[1] == 25 for _, b in blocks)
     assert np.all(blocks[-1][1][-1] == 0.0)
+
+
+def test_stepped_orbits_stop_one_period_into_their_cycle():
+    # one seed too: z^2 reaches 0 and -0 from 0.3 + 0.2j, equal as values
+    blend = de.gallery_symbol("blend_half")
+    cases = [(SIGNED_ZEROS, GRID_25, (971, 2)), (SUBNORMALS, GRID_25, (1111, 4)),
+             (blend, GRID_25, (1081, 1)), (blend, [0.3 + 0.2j], (1074, 1)),
+             (ZSQ, [0.3 + 0.2j], (11, 1))]
+    for s, seeds, cycle in cases:
+        assert stepped_cycle(s, seeds, 2000) == cycle
+        onset, period = cycle
+        assert check_engine_matches_stepping(s, seeds, 3000) == onset + period, s
+
+
+def test_a_cycle_that_begins_before_its_block_closes_in_it(monkeypatch):
+    # blocks of 243 and 139 rows start at steps 972 and 1112, inside the
+    # first period of each cycle: it is seen one period after the block's
+    # first step, within two periods of its onset
+    for s, onset, period, rows in ((SIGNED_ZEROS, 971, 2, 243), (SUBNORMALS, 1111, 4, 139)):
+        monkeypatch.setattr(symbols, "BLOCK_POINTS", rows * len(GRID_25))
+        m0 = (onset + period - 1) // rows * rows
+        assert onset < m0 < onset + period
+        calls = check_engine_matches_stepping(s, GRID_25, 3000)
+        assert calls == m0 + period < onset + 2 * period, s
+
+
+def test_exact_rotations_compute_one_period(monkeypatch):
+    # rotations about 0 and an elliptic map about p != 0, each snapped to
+    # a period that does not divide the 481-row blocks of 17 seeds
+    shapes = [de.Moebius(cmath.exp(2j * math.pi * p / q), 0, 0, 1)
+              for p, q in ((1, 2), (2, 3), (-2, 5), (3, 7), (5, 8))]
+    shapes.append(de.make_automorphism("elliptic", angle=6 * math.pi / 7, fixed_point=0.3 + 0.4j))
+    asked = count_iterate_rows(monkeypatch)
+    for s in shapes:
+        form = _closed_form(s)
+        seeds = np.concatenate([[form.p], 0.9 * np.exp(2j * np.pi * (np.arange(16) + 0.3) / 16)])
+        assert form.period in (2, 3, 5, 7, 8) and 481 % form.period != 0, s
+        assert symbols.BLOCK_POINTS // len(seeds) == 481
+        asked.clear()
+        blocks = list(orbit_blocks(s, seeds, 1500))
+        assert asked == [form.period] and len(blocks) == 4, s
+        for m0, block in blocks:
+            want = form.iterates(seeds, np.arange(m0 + 1, m0 + len(block) + 1))
+            assert block.flags.writeable and block.tobytes() == want.tobytes(), (s, m0)
+        assert np.all(np.concatenate([b for _, b in blocks])[:, 0] == form.p)
+
+
+def test_only_exact_rotations_are_tiled(monkeypatch):
+    asked = count_iterate_rows(monkeypatch)
+    third = cmath.exp(2j * math.pi / 3)
+    shapes = [de.gallery_symbol("parab"), de.gallery_symbol("rot_golden"),
+              de.Moebius(0.5 * third, 0, 0, 1),
+              de.make_automorphism("elliptic", angle=2 * math.pi / 3, fixed_point=0.3 + 0.4j)]
+    for s in shapes:
+        form = _closed_form(s)
+        assert form.period is None, s
+        asked.clear()
+        list(orbit_blocks(s, GRID_25, 1500))
+        assert sum(asked) == 1500 and len(asked) == 5, s
+    # turns of 1/3, with |kappa| = 1/2 and with |kappa| off 1 by 1.7e-16
+    contraction, elliptic = (_closed_form(s) for s in shapes[2:])
+    assert contraction.turns == elliptic.turns == Fraction(1, 3)
+    assert contraction.log_r < 0.0 and elliptic.log_r != 0.0
+
+
+def test_rotation_snap_compares_the_turn_exactly():
+    def exact_distance(a, ratio):
+        with mp.workdps(50):
+            turn = mp.arg(mp.mpc(a)) / (2 * mp.pi)
+            return float(abs(turn - mp.mpf(ratio.numerator) / ratio.denominator)), float(turn)
+
+    # e^{2 pi i 2/3} and e^{-2 pi i 11/16} in doubles: their turns lie within
+    # 1e-16 of -1/3 and 5/16, but their leading doubles two units in the
+    # last place from those fractions' doubles
+    for a, ratio in ((cmath.exp(4j * math.pi / 3), Fraction(-1, 3)),
+                     (cmath.exp(-22j * math.pi / 16), Fraction(5, 16))):
+        form = _closed_form(de.Moebius(a, 0, 0, 1))
+        assert form.turns == ratio and form.period == ratio.denominator
+        distance, head = exact_distance(a, ratio)
+        assert 8e-17 < distance <= 1e-16
+        assert abs(head - ratio) > 1e-16  # the float test missed them
+    # 1.002e-16 from 1/3, which the float test took for 1/3
+    a = -0.4999999999999995 + 0.866025403784439j
+    form = _closed_form(de.Moebius(a, 0, 0, 1))
+    assert not isinstance(form.turns, Fraction) and form.period is None
+    assert 1e-16 < exact_distance(a, Fraction(1, 3))[0] < 1.01e-16
+    assert form.log_r == 0.0 and abs(form.turns[0] - Fraction(1, 3)) <= 1e-16
 
 
 def test_stepped_orbit_leaving_the_disc_raises():
