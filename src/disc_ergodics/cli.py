@@ -264,7 +264,6 @@ def _cmd_counterexample(args) -> int:
 def _cmd_gallery(args) -> int:
     out = os.path.join(args.out, "gallery")
     os.makedirs(out, exist_ok=True)
-    budgets = ergodicity.VerdictBudgets(density_n=min(args.n, 10**4))
     undecided = False
     for name in gallery.GALLERY_NAMES:
         s = gallery.gallery_symbol(name)
@@ -272,7 +271,7 @@ def _cmd_gallery(args) -> int:
         _write_json(os.path.join(out, f"{name}_classify.json"),
                     dynamics.classification_to_dict(cls, s))
         for space in ("A", "Hinf"):
-            v = ergodicity.verdict(s, space, budgets, cls=cls)
+            v = ergodicity.verdict(s, space, min(args.n, 10**4), cls=cls)
             _write_json(os.path.join(out, f"{name}_verdict_{space}.json"), v.to_dict())
             undecided |= ergodicity.UNKNOWN in (v.mean_ergodic, v.uniformly_mean_ergodic)
             print(f"{name:12s} {space:4s} {cls.kind:22s} "

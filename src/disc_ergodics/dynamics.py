@@ -44,6 +44,8 @@ DW_MAX_ITER_DEFAULT = 10**6
 DW_TOL_DEFAULT = 1e-6
 BOUNDARY_PROXIMITY_TOL = 1e-6
 FIXED_POINT_RESIDUAL_TOL = 1e-8
+PERIOD_SAMPLES = 2048  # equispaced angles that bracket boundary periodic points
+CONTRACTION_GRID = 16  # rings, and angles per ring, of local_contraction_check
 
 
 class EllipticInputError(ValueError):
@@ -187,9 +189,9 @@ def moebius_fixed_points(m: Moebius) -> list[tuple[complex, int]]:
     return [(p, 2)] if p == q else [(p, 1)] if q is None else [(p, 1), (q, 1)]
 
 
-def _is_identity_probe(s: Symbol, tol: float = 1e-12) -> bool:
+def _is_identity_probe(s: Symbol) -> bool:
     probes = [0.0, 0.5, -0.5, 0.5j, -0.5j, 0.3 + 0.4j, -0.2 + 0.7j, 0.9]
-    return all(abs(complex(s(z)) - z) <= tol for z in probes)
+    return all(abs(complex(s(z)) - z) <= 1e-12 for z in probes)
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +275,10 @@ def _rotation_period(multiplier: complex) -> int | None:
     return k if abs(multiplier ** k - 1.0) <= 1e-10 else None
 
 
-def _polish_fixed_point(s: Symbol, z: complex, steps: int = 120) -> complex:
-    # Newton on phi(z) - z; linear but sure-footed even at a parabolic
-    # (multiplicity-two) boundary fixed point, where the error halves.
-    for _ in range(steps):
+def _polish_fixed_point(s: Symbol, z: complex) -> complex:
+    # Newton on phi(z) - z, 120 steps at most; linear but sure-footed even at
+    # a parabolic (multiplicity-two) boundary fixed point, where the error halves.
+    for _ in range(120):
         f = complex(s(z)) - z
         if abs(f) < 1e-15:
             break
@@ -356,22 +358,18 @@ def classify(s: Symbol) -> SymbolClass:
 # ---------------------------------------------------------------------------
 # Sup norms of iterates
 
-def sup_norm_sequence(s: Symbol, n_max: int, boundary_samples: int = 512,
-                      radial_samples: int = 64) -> np.ndarray:
+def sup_norm_sequence(s: Symbol, n_max: int) -> np.ndarray:
     """Grid sup of |phi^n| for n = 1..n_max in a single sweep."""
-    return sup_distance_sequence(s, 0.0, n_max, boundary_samples, radial_samples)
+    return sup_distance_sequence(s, 0.0, n_max)
 
 
-def sup_norm_iterate(s: Symbol, n: int, boundary_samples: int = 512,
-                     radial_samples: int = 64) -> float:
+def sup_norm_iterate(s: Symbol, n: int) -> float:
     """Grid maximum of |phi^n| over the closed disc."""
-    return float(sup_norm_sequence(s, n, boundary_samples, radial_samples)[-1])
+    return float(sup_norm_sequence(s, n)[-1])
 
 
-def sup_distance_sequence(s: Symbol, z0: complex, n_max: int,
-                          boundary_samples: int = 512,
-                          radial_samples: int = 64) -> np.ndarray:
-    """Grid sup of |phi^n - z0| for n = 1..n_max.
+def sup_distance_sequence(s: Symbol, z0: complex, n_max: int) -> np.ndarray:
+    """Grid sup of |phi^n - z0| for n = 1..n_max, over ``symbols.disc_grid``.
 
     The conjugation-invariant decay statistic for an interior attracting
     point z0: it reduces to the plain sup norm when z0 = 0.  When phi maps
@@ -383,7 +381,7 @@ def sup_distance_sequence(s: Symbol, z0: complex, n_max: int,
     if _is_inner(s):
         return np.full(n_max, 1.0 + abs(z0))
     out = np.empty(n_max)
-    for m0, block in orbit_blocks(s, disc_grid(boundary_samples, radial_samples), n_max):
+    for m0, block in orbit_blocks(s, disc_grid(), n_max):
         out[m0:m0 + len(block)] = np.max(np.abs(block - z0), axis=1)
     return out
 
@@ -435,8 +433,7 @@ def _midpoint_tree(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.array(mids)
 
 
-def boundary_periodic_points(s: Symbol, max_period: int,
-                             samples: int = 2048) -> list[BoundaryPeriodicPoint]:
+def boundary_periodic_points(s: Symbol, max_period: int) -> list[BoundaryPeriodicPoint]:
     """Periodic points of the symbol on the unit circle, up to ``max_period``.
 
     A point q is reported only if it passes the residual test
@@ -447,7 +444,7 @@ def boundary_periodic_points(s: Symbol, max_period: int,
 
     Otherwise roots of phi^p(e^{it}) = e^{it} are bracketed by strict sign
     changes of the wrapped argument gap arg(phi^p(e^{it})) - t on
-    ``samples`` equispaced angles, skipping branch jumps of the wrapped
+    PERIOD_SAMPLES equispaced angles, skipping branch jumps of the wrapped
     argument; exact zeros of the gap are taken as they are.  One orbit of
     the angles gives the gaps of every period p <= max_period.  The brackets
     of all periods are bisected together, each for at most 80 levels or
@@ -489,7 +486,7 @@ def boundary_periodic_points(s: Symbol, max_period: int,
         angles.insert(i, angle)
         found.insert(i, BoundaryPeriodicPoint(q, minimal, residual))
 
-    t = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
+    t = np.linspace(0.0, 2.0 * np.pi, PERIOD_SAMPLES, endpoint=False)
     t_next = np.append(t[1:], 2.0 * np.pi)
     gaps = _wrapped_argument_gap(s, t, max_period)
     g_next = np.roll(gaps, -1, axis=1)
@@ -529,9 +526,9 @@ class ContractionReport:
     passed: bool
 
 
-def local_contraction_check(s: Symbol, z0: complex, r: float,
-                            samples: int = 256) -> ContractionReport:
-    """Largest ratio |phi(z) - z0| / |z - z0| over B(z0, r) within the disc.
+def local_contraction_check(s: Symbol, z0: complex, r: float) -> ContractionReport:
+    """Largest ratio |phi(z) - z0| / |z - z0| over B(z0, r) within the disc,
+    sampled on CONTRACTION_GRID rings of as many angles each.
 
     A ratio below one certifies local attraction toward the fixed point z0 on
     the sampled neighborhood.
@@ -541,10 +538,8 @@ def local_contraction_check(s: Symbol, z0: complex, r: float,
     z0 = complex(z0)
     if abs(complex(s(z0)) - z0) > FIXED_POINT_RESIDUAL_TOL:
         raise ValueError("z0 must be a fixed point")
-    n_ring = max(8, int(math.isqrt(samples)))
-    n_ang = max(8, samples // n_ring)
-    radii = r * (np.arange(1, n_ring + 1) / n_ring)
-    angles = np.exp(1j * 2.0 * np.pi * np.arange(n_ang) / n_ang)
+    radii = r * (np.arange(1, CONTRACTION_GRID + 1) / CONTRACTION_GRID)
+    angles = np.exp(1j * 2.0 * np.pi * np.arange(CONTRACTION_GRID) / CONTRACTION_GRID)
     pts = (z0 + radii[:, None] * angles[None, :]).ravel()
     pts = pts[np.abs(pts) <= 1.0]
     if len(pts) == 0:

@@ -57,8 +57,8 @@ class TestFunction:
     def __call__(self, z):
         raise NotImplementedError
 
-    def boundary_sup(self) -> float:
-        return float(np.max(np.abs(self(boundary_points(1024)))))
+    def boundary_sup(self) -> float:  # an upper bound on |f| over the closed disc
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -89,6 +89,9 @@ class TaylorFn(TestFunction):
 
     def __call__(self, z):
         return _horner(self.coeffs, z)
+
+    def boundary_sup(self) -> float:
+        return float(sum(abs(c) for c in self.coeffs))  # the triangle inequality
 
 
 @dataclass(frozen=True)
@@ -179,7 +182,7 @@ def cesaro_apply(s: Symbol, f: TestFunction, z: complex, n: int) -> CesaroTrace:
     orbit divided by the step count.
 
     Power boundedness is asserted on the way out: no partial mean may exceed
-    the sup of |f|.
+    ``f.boundary_sup()``, an upper bound on |f|.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -527,18 +530,16 @@ class WeylReport:
     per_j: list[float]
 
 
-def weyl_test(orbit: Orbit, j_max: int, require_boundary: bool = True) -> WeylReport:
+def weyl_test(orbit: Orbit, j_max: int) -> WeylReport:
     """|(1/N) sum (phi^m(w))^j| for j = 1..j_max.
 
-    All means tending to zero is the exponential-sum criterion for the orbit
-    being uniformly distributed on the circle.  ``require_boundary`` enforces
-    that the orbit actually lives on the circle (within 1e-6); disable it to
-    reuse the statistic on inward-spiralling orbits.
+    All means tending to zero is the exponential-sum criterion for the orbit,
+    which must lie within 1e-6 of the circle, being uniformly distributed.
     """
     if j_max < 1:
         raise ValueError("j_max must be >= 1")
     pts = orbit.points
-    if require_boundary and float(np.max(np.abs(np.abs(pts) - 1.0))) > 1e-6:
+    if float(np.max(np.abs(np.abs(pts) - 1.0))) > 1e-6:
         raise ValueError("orbit is not within 1e-6 of the unit circle")
     per_j = []
     power = np.ones_like(pts)
@@ -705,25 +706,12 @@ def _json_value(value):
     return value
 
 
-@dataclass(frozen=True)
-class VerdictBudgets:
-    """Iteration and sampling budgets for the numerical evidence."""
-
-    density_n: int = 10**5
-    density_seeds: int = 32
-    density_radii: tuple = (0.5, 0.1, 0.02)
-    sup_norm_n: int = 40
-    sup_norm_boundary: int = 512
-    sup_norm_radial: int = 64
-    max_period: int = 3
-    period_samples: int = 2048
-
-    def __post_init__(self):
-        if min(self.density_n, self.density_seeds, self.sup_norm_n,
-               self.max_period, self.period_samples) < 1:
-            raise ValueError("budgets must be positive")
-
-
+# Budgets of the numerical evidence; ``verdict`` says what each one counts.
+DENSITY_N = 10**5
+DENSITY_SEEDS = 32
+DENSITY_RADII = (0.5, 0.1, 0.02)
+SUP_NORM_N = 40
+MAX_PERIOD = 3
 # Density-evidence margins: a numerical yes needs a certified run or every
 # seed/radius estimate at or above DENSITY_YES; a no needs a seed whose
 # running minimum ratio stays at or below DENSITY_NO over the second half.
@@ -771,8 +759,7 @@ def _elliptic_verdict(space: str, cls: dynamics.EllipticAutomorphism | None,
     return ErgodicityVerdict(space, UNKNOWN, UNKNOWN, TAG_WEIGHTED_APERIODIC, evidence)
 
 
-def _interior_verdict(s: Symbol, space: str, cls: dynamics.InteriorDW,
-                      budgets: VerdictBudgets) -> ErgodicityVerdict:
+def _interior_verdict(s: Symbol, space: str, cls: dynamics.InteriorDW) -> ErgodicityVerdict:
     evidence = [("z0", cls.z0), ("multiplier_modulus", cls.multiplier_modulus)]
     tag = TAG_INTERIOR_SUP_DECAY if space == "Hinf" else TAG_INTERIOR_A
     if space in ("Hv", "Hv0"):
@@ -787,8 +774,7 @@ def _interior_verdict(s: Symbol, space: str, cls: dynamics.InteriorDW,
     if bound < 1.0 - 1e-10:
         evidence.append(("image_radius_bound", bound))
         return ErgodicityVerdict(space, YES, YES, tag, evidence)
-    periodic_pts = dynamics.boundary_periodic_points(
-        s, budgets.max_period, budgets.period_samples)
+    periodic_pts = dynamics.boundary_periodic_points(s, MAX_PERIOD)
     if periodic_pts:
         bp = periodic_pts[0]
         evidence.append(("boundary_periodic_point", bp.point))
@@ -797,12 +783,10 @@ def _interior_verdict(s: Symbol, space: str, cls: dynamics.InteriorDW,
         if space == "A":
             tag = TAG_BOUNDARY_OBSTRUCTION
         return ErgodicityVerdict(space, NO, NO, tag, evidence)
-    sups = dynamics.sup_distance_sequence(
-        s, cls.z0, budgets.sup_norm_n, budgets.sup_norm_boundary,
-        budgets.sup_norm_radial)
+    sups = dynamics.sup_distance_sequence(s, cls.z0, SUP_NORM_N)
     evidence.append(("sup_distance_first", float(sups[0])))
     evidence.append(("sup_distance_last", float(sups[-1])))
-    evidence.append(("sup_norm_n", budgets.sup_norm_n))
+    evidence.append(("sup_norm_n", SUP_NORM_N))
     # Once some iterate maps the closed disc into a ball around z0 compactly
     # inside the disc, later iterates converge to z0 uniformly.
     decisive = min(SUP_DECAY_DECISIVE, 0.5 * (1.0 - abs(cls.z0)))
@@ -819,7 +803,7 @@ def _boundary_seeds(z0: complex, count: int) -> np.ndarray:
     return seeds[keep]
 
 
-def _boundary_verdict(s: Symbol, space: str, cls, budgets: VerdictBudgets) -> ErgodicityVerdict:
+def _boundary_verdict(s: Symbol, space: str, cls, density_n: int) -> ErgodicityVerdict:
     z0 = cls.z0
     parabolic = isinstance(cls, dynamics.ParabolicDW)
     evidence = [("z0", z0), ("angular_derivative", cls.angular_derivative)]
@@ -853,8 +837,7 @@ def _boundary_verdict(s: Symbol, space: str, cls, budgets: VerdictBudgets) -> Er
                                  f"{TAG_BLASCHKE} + {TAG_BOUNDARY_DW}", evidence)
     # Generic route.  A boundary periodic point away from z0 blocks mean
     # ergodicity outright; otherwise the orbit-density experiment decides.
-    periodic_pts = dynamics.boundary_periodic_points(
-        s, budgets.max_period, budgets.period_samples)
+    periodic_pts = dynamics.boundary_periodic_points(s, MAX_PERIOD)
     others = [bp for bp in periodic_pts if abs(bp.point - z0) > 1e-6]
     if others:
         evidence.append(("boundary_periodic_point", others[0].point))
@@ -869,13 +852,12 @@ def _boundary_verdict(s: Symbol, space: str, cls, budgets: VerdictBudgets) -> Er
     # The orbits stop once a horodisc certificate covers their remainder.
     delta = _attractor_error_bound(s, cls)
     hits, min_ratios, certified_step = _visits(
-        s, _boundary_seeds(z0, budgets.density_seeds), complex(z0),
-        budgets.density_radii, budgets.density_n, delta)
-    min_estimate = float(hits.min()) / budgets.density_n
+        s, _boundary_seeds(z0, DENSITY_SEEDS), complex(z0), DENSITY_RADII, density_n, delta)
+    min_estimate = float(hits.min()) / density_n
     min_ratio = float(min_ratios.min())
     evidence.append(("density_min_estimate", min_estimate))
     evidence.append(("density_min_running_ratio", min_ratio))
-    evidence.append(("density_n", budgets.density_n))
+    evidence.append(("density_n", density_n))
     evidence.append(("attractor_error_bound", delta))
     evidence.append(("density_certified_step", certified_step))
     tag = f"{TAG_DENSITY} + {TAG_BOUNDARY_DW}"
@@ -888,7 +870,7 @@ def _boundary_verdict(s: Symbol, space: str, cls, budgets: VerdictBudgets) -> Er
     return ErgodicityVerdict(space, UNKNOWN, NO, tag, evidence)
 
 
-def verdict(s: Symbol, space: str, budgets: VerdictBudgets | None = None,
+def verdict(s: Symbol, space: str, density_n: int = DENSITY_N,
             weight=None, cls: dynamics.SymbolClass | None = None) -> ErgodicityVerdict:
     """Mean-ergodicity verdict for the composition operator on one space.
 
@@ -913,10 +895,15 @@ def verdict(s: Symbol, space: str, budgets: VerdictBudgets | None = None,
     ``unknown`` is a valid outcome and carries its reason.  ``cls``, when
     given, is the symbol's ``dynamics.classify`` result and saves
     classifying it again.
+
+    Budgets: ``density_n`` steps (positive; the one budget a caller sets) of
+    DENSITY_SEEDS boundary seeds for balls of DENSITY_RADII; SUP_NORM_N
+    iterates of ``symbols.disc_grid``; boundary periodic points up to MAX_PERIOD.
     """
     if space not in SPACES:
         raise ValueError(f"space must be one of {SPACES}")
-    budgets = budgets or VerdictBudgets()
+    if density_n < 1:
+        raise ValueError("density_n must be positive")
     if cls is None:
         cls = dynamics.classify(s)
     if isinstance(cls, dynamics.Identity):
@@ -924,5 +911,5 @@ def verdict(s: Symbol, space: str, budgets: VerdictBudgets | None = None,
     if isinstance(cls, dynamics.EllipticAutomorphism):
         return _elliptic_verdict(space, cls, weight)
     if isinstance(cls, dynamics.InteriorDW):
-        return _interior_verdict(s, space, cls, budgets)
-    return _boundary_verdict(s, space, cls, budgets)
+        return _interior_verdict(s, space, cls)
+    return _boundary_verdict(s, space, cls, density_n)

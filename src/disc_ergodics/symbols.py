@@ -29,6 +29,7 @@ UNIT_ROUNDOFF = 2.0**-53
 POLE_MARGIN = 1e-12
 DET_TOL = 1e-12
 TAYLOR_TRUNCATION_DEFAULT = 4096
+GRID_ANGLES, GRID_RINGS = 512, 64  # disc_grid: points per ring, rings inside the circle
 # Relative defect of the automorphism identity (``_is_inner``) taken as
 # rounding: make_automorphism("elliptic", ...) misses it by up to 7e-11 when
 # its coefficients cancel (a map near the identity, with p near the circle).
@@ -60,18 +61,16 @@ def boundary_points(n: int) -> np.ndarray:
     return np.exp(1j * t)
 
 
-@functools.lru_cache(maxsize=8)
-def disc_grid(boundary_samples: int = 512, radial_samples: int = 64) -> np.ndarray:
+@functools.cache
+def disc_grid() -> np.ndarray:
     """Deterministic sampling of the closed disc, boundary-dominant.
 
     Rings at radius one, at zero, and at Chebyshev-spaced radii accumulating
-    toward the boundary, where extremes of |phi^n| concentrate.  Built once
-    per size and shared, so the array is read-only.
+    toward the boundary, where extremes of |phi^n| concentrate: 33,281
+    points.  Built once and shared, so the array is read-only.
     """
-    if boundary_samples < 16:
-        raise ValueError("boundary_samples must be >= 16")
-    angles = boundary_points(boundary_samples)
-    cheb = np.cos(np.pi * (2.0 * np.arange(radial_samples) + 1.0) / (4.0 * radial_samples))
+    angles = boundary_points(GRID_ANGLES)
+    cheb = np.cos(np.pi * (2.0 * np.arange(GRID_RINGS) + 1.0) / (4.0 * GRID_RINGS))
     radii = np.concatenate(([1.0], cheb))
     grid = (radii[:, None] * angles[None, :]).ravel()
     grid = np.concatenate((grid, [0.0 + 0.0j]))
@@ -381,20 +380,20 @@ class SelfMapReport:
     passed: bool
 
 
-def self_map_check(s: Symbol, boundary_samples: int = 512, radial_samples: int = 64) -> SelfMapReport:
+def self_map_check(s: Symbol) -> SelfMapReport:
     """Grid maximum of |phi| over the closed disc.
 
     Passes when the maximum stays within SELF_MAP_TOL of one; by the maximum
     modulus principle the boundary rings dominate, so the grid is
     boundary-heavy.  Reporting only; constructors raise on failure.
     """
-    grid = disc_grid(boundary_samples, radial_samples)
+    grid = disc_grid()
     try:
         values = np.abs(s(grid))
     except SymbolError:
         # A pole on the closed disc: find a boundary witness by scalar probing.
         worst, witness = math.inf, 1.0 + 0.0j
-        for z in boundary_points(boundary_samples):
+        for z in boundary_points(GRID_ANGLES):
             try:
                 m = abs(complex(s(complex(z))))
             except SymbolError:

@@ -23,6 +23,7 @@ ROOT_OF_UNITY_ORDER_BOUND = 10**4
 ROOT_OF_UNITY_TOL = 1e-12
 EXPONENT_BUDGET = 10**15  # largest exponent lacunary_exponents may select
 RADIUS_CLAMP = 1.0 - 1e-8  # evaluation radii this close to 1 are clamped
+NORM_GRID_RADII, NORM_GRID_ANGLES = 64, 128  # the grid of weighted_sup_norm
 
 # Built-in rotation numbers, exactly representable at any working precision.
 THETA_BUILTINS = {
@@ -151,9 +152,9 @@ class LacunarySequence:
     def __len__(self):
         return len(self.exponents)
 
-    def lam_power(self, n: int, dps: int = 60) -> complex:
-        """lam^n computed through the rotation number at high precision."""
-        with mp.workdps(dps):
+    def lam_power(self, n: int) -> complex:
+        """lam^n computed through the rotation number at 60 digits."""
+        with mp.workdps(60):
             theta = resolve_theta(theta=self.theta_descriptor) \
                 if self.theta_descriptor is not None else \
                 resolve_theta(lam=self.lam)
@@ -354,14 +355,14 @@ class SparseSeries:
 # ---------------------------------------------------------------------------
 # Norms
 
-def weighted_sup_norm(f, w: VAlpha, radii: int = 64, angles: int = 128) -> float:
+def weighted_sup_norm(f, w: VAlpha) -> float:
     """Grid maximum of v(|z|) |f(z)|, radii accumulating toward the boundary.
 
     ``f`` is any callable power series (sparse or dense).
     """
-    cheb = np.cos(np.pi * (2.0 * np.arange(radii) + 1.0) / (4.0 * radii))
+    cheb = np.cos(np.pi * (2.0 * np.arange(NORM_GRID_RADII) + 1.0) / (4.0 * NORM_GRID_RADII))
     rs = np.minimum(cheb, RADIUS_CLAMP)
-    ts = np.exp(2j * np.pi * np.arange(angles) / angles)
+    ts = np.exp(2j * np.pi * np.arange(NORM_GRID_ANGLES) / NORM_GRID_ANGLES)
     ring_max = np.max(np.abs(f(rs[:, None] * ts[None, :])), axis=1)
     return float(np.max(w(rs) * ring_max))
 

@@ -138,7 +138,9 @@ def check_cesaro_power_boundedness(cases: int = 100) -> int:
             f = de.TaylorFn([_random_interior(rng, 1.0) for _ in range(int(rng.integers(1, 5)))])
         z = _random_interior(rng, 1.0)
         trace = de.cesaro_apply(s, f, z, 200)
-        sup = f.boundary_sup()
+        # the circle's sampled maximum is a lower bound on sup |f|, and
+        # f.boundary_sup() an upper one; the smaller is the stricter test
+        sup = min(f.boundary_sup(), float(np.max(np.abs(f(de.symbols.boundary_points(1024))))))
         assert float(np.max(np.abs(trace.partial_means))) <= sup + 1e-9
         done += 1
     return done

@@ -329,6 +329,7 @@ def test_parser_is_built_once_and_reused(tmp_path, capsys):
     ["weyl", "--jmax", "0"],
     ["counterexample", "--K", "0"],
     ["gallery", "--N", "-3"],
+    ["gallery", "--N", "0"],
     ["cesaro", "--z", "abc"],
     ["density", "--z0", "1,2,3"],
 ], ids=lambda argv: " ".join(argv))

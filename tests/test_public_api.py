@@ -4,6 +4,7 @@ wraps, so removing a name they use fails here rather than only when a demo or
 the benchmark is run."""
 
 import importlib.util
+import inspect
 import pathlib
 import re
 
@@ -48,3 +49,22 @@ def test_traced_symbol_classes_define_their_own_call():
     assert tracing.SYMBOL_CLASSES
     missing = [cls.__name__ for cls in tracing.SYMBOL_CLASSES if "__call__" not in vars(cls)]
     assert not missing, f"symbol classes without their own __call__: {missing}"
+
+
+# The benchmark's recorders read these arguments by name from the bound call:
+# the symbol ``s``, the step count ``n`` and the seed ``z`` or ``seeds``.
+TRACED_PARAMETERS = {
+    "cesaro_apply": ("s", "z", "n"),
+    "cesaro_final_means": ("s", "seeds", "n"),
+    "orbit_density": ("s", "z", "n"),
+    "density_sweep": ("s", "seeds", "n"),
+    "boundary_gap_witness": ("s", "n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACED_PARAMETERS))
+def test_traced_functions_keep_their_parameter_names(name):
+    fn = getattr(de.ergodicity, name)
+    assert any(target[:2] == (de.ergodicity, name) for target in _tracing().TARGETS), name
+    missing = set(TRACED_PARAMETERS[name]) - set(inspect.signature(fn).parameters)
+    assert not missing, f"{name} lost the parameters its recorder reads: {sorted(missing)}"

@@ -383,7 +383,7 @@ def test_moebius_form_is_built_once_without_validation(monkeypatch):
 # self-map check
 
 def test_self_map_check_square():
-    report = de.self_map_check(ZSQ, boundary_samples=256)
+    report = de.self_map_check(ZSQ)
     assert report.passed
     assert report.max_modulus == pytest.approx(1.0, abs=1e-12)
 
@@ -411,17 +411,17 @@ def test_constructor_rejects_doubling():
 
 
 def test_disc_grid_is_built_once_and_read_only():
-    grid = symbols.disc_grid(512, 64)
-    assert symbols.disc_grid(512, 64) is grid
+    grid = symbols.disc_grid()
+    assert symbols.disc_grid() is grid
     assert not grid.flags.writeable
     with pytest.raises(ValueError):
         grid[0] = 0.5
-    fresh = symbols.disc_grid.__wrapped__(512, 64)
+    fresh = symbols.disc_grid.__wrapped__()
     assert fresh is not grid and np.array_equal(fresh, grid)
 
 
 def test_self_map_check_on_the_shared_grid_matches_a_fresh_grid():
-    fresh = symbols.disc_grid.__wrapped__(512, 64)
+    fresh = symbols.disc_grid.__wrapped__()
     for name in de.GALLERY_NAMES:
         s = de.gallery_symbol(name)
         values = np.abs(s(fresh))
@@ -509,11 +509,6 @@ def test_coefficient_sum_above_one_goes_through_the_grid(monkeypatch):
     monkeypatch.setattr(symbols, "self_map_check", recording)
     de.Polynomial([0.3, 0.5, -0.3])  # sum |c_k| = 1.1, max |p| on the circle 0.8
     assert len(reports) == 1 and reports[0].passed
-
-
-def test_boundary_samples_floor():
-    with pytest.raises(ValueError):
-        de.self_map_check(HALF, boundary_samples=8)
 
 
 # ---------------------------------------------------------------------------
