@@ -22,7 +22,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .symbols import (
+    Blaschke,
     Moebius,
+    Polynomial,
     Symbol,
     Taylor,
     _as_moebius,
@@ -46,6 +48,9 @@ BOUNDARY_PROXIMITY_TOL = 1e-6
 FIXED_POINT_RESIDUAL_TOL = 1e-8
 PERIOD_SAMPLES = 2048  # equispaced angles that bracket boundary periodic points
 CONTRACTION_GRID = 16  # rings, and angles per ring, of local_contraction_check
+# Degree cap of the fixed-point equation: its zeros take 1-6.5 ms at degree 16,
+# about what a sampled search of such a map takes (3-8 ms), and overflow at 64
+FIXED_POINT_DEGREE_CAP = 16
 
 
 class EllipticInputError(ValueError):
@@ -433,6 +438,29 @@ def _midpoint_tree(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.array(mids)
 
 
+def _register(s: Symbol, found: list, angles: list, q: complex, period: int):
+    """Add the circle point q, with its minimal period, to ``found`` (in the
+    order of the angles in [0, 2 pi) of ``angles``) if |phi^period(q) - q|
+    <= 1e-10 and no point of ``found`` lies within 1e-8 (2e-8 in angle)."""
+    orbit = [q]
+    for _ in range(period):
+        orbit.append(complex(s(orbit[-1])))
+    residual = abs(orbit[period] - q)
+    if not residual <= 1e-10:  # also when a zero did not converge (nan)
+        return
+    minimal = next((d for d in range(1, period) if period % d == 0
+                    and abs(orbit[d] - q) <= FIXED_POINT_RESIDUAL_TOL), period)
+    angle = math.atan2(q.imag, q.real) % (2.0 * math.pi)
+    for shift in (0.0, 2.0 * math.pi, -2.0 * math.pi):
+        for i in range(bisect.bisect_left(angles, angle + shift - 2e-8),
+                       bisect.bisect_right(angles, angle + shift + 2e-8)):
+            if abs(found[i].point - q) < 1e-8:
+                return
+    i = bisect.bisect_right(angles, angle)
+    angles.insert(i, angle)
+    found.insert(i, BoundaryPeriodicPoint(q, minimal, residual))
+
+
 def boundary_periodic_points(s: Symbol, max_period: int) -> list[BoundaryPeriodicPoint]:
     """Periodic points of the symbol on the unit circle, up to ``max_period``.
 
@@ -451,41 +479,16 @@ def boundary_periodic_points(s: Symbol, max_period: int) -> list[BoundaryPeriodi
     until it is narrower than 1e-14: one array evaluation of the gap covers
     the next BISECTION_DEPTH levels of every open bracket, which are then
     resolved in order, so the roots are those of bisecting one level per
-    evaluation, bit for bit.  Every candidate must then pass the residual
-    test, which also discards argument crossings where the modulus drops
-    inside the disc (the symbol need not carry the circle onto itself).
-    Points are reported once, with their minimal period, in order of their
-    angle in [0, 2 pi).
+    evaluation, bit for bit.  Candidates are kept by the rule of
+    ``_register``, whose residual test also discards argument crossings
+    where the modulus drops inside the disc (the symbol need not carry the
+    circle onto itself).
     """
     if max_period < 1 or max_period > 8:
         raise ValueError("max_period must be between 1 and 8")
     if _image_radius_bound(s) < 1.0 - 1e-10:
         return []
-    # the points found, sorted by their angles in [0, 2 pi); two points less
-    # than 1e-8 apart differ by less than 2e-8 in angle
-    found: list[BoundaryPeriodicPoint] = []
-    angles: list[float] = []
-
-    def register(t_root: float, period: int):
-        q = cmath.exp(1j * t_root)
-        orbit = [q]
-        for _ in range(period):
-            orbit.append(complex(s(orbit[-1])))
-        residual = abs(orbit[period] - q)
-        if residual > 1e-10:
-            return
-        minimal = next((d for d in range(1, period) if period % d == 0
-                        and abs(orbit[d] - q) <= FIXED_POINT_RESIDUAL_TOL), period)
-        angle = math.atan2(q.imag, q.real) % (2.0 * math.pi)
-        for shift in (0.0, 2.0 * math.pi, -2.0 * math.pi):
-            for i in range(bisect.bisect_left(angles, angle + shift - 2e-8),
-                           bisect.bisect_right(angles, angle + shift + 2e-8)):
-                if abs(found[i].point - q) < 1e-8:
-                    return
-        i = bisect.bisect_right(angles, angle)
-        angles.insert(i, angle)
-        found.insert(i, BoundaryPeriodicPoint(q, minimal, residual))
-
+    found, angles = [], []
     t = np.linspace(0.0, 2.0 * np.pi, PERIOD_SAMPLES, endpoint=False)
     t_next = np.append(t[1:], 2.0 * np.pi)
     gaps = _wrapped_argument_gap(s, t, max_period)
@@ -513,7 +516,37 @@ def boundary_periodic_points(s: Symbol, max_period: int) -> list[BoundaryPeriodi
     roots = 0.5 * (lo + hi)
     for p in range(1, max_period + 1):
         for root in np.concatenate((t[gaps[p - 1] == 0.0], roots[period == p])):
-            register(float(root), p)
+            _register(s, found, angles, cmath.exp(1j * float(root)), p)
+    return found
+
+
+def _boundary_fixed_points(s: Symbol) -> list[BoundaryPeriodicPoint]:
+    """Fixed points of the symbol on the circle, by the rule of ``_register``,
+    from the zeros r of phi(z) - z, or of e^{i theta} prod (z - a_k) -
+    z prod (1 - conj(a_k) z) for a Blaschke product, projected to e^{i arg r}.
+    Other kinds, and equations above FIXED_POINT_DEGREE_CAP, give []."""
+    if isinstance(s, (Polynomial, Taylor)):  # coefficients in descending order
+        c = np.polysub(s.coeffs[::-1], [1.0, 0.0])
+    elif isinstance(s, Blaschke):
+        c = np.polysub(cmath.exp(1j * s.rotation) * np.poly(s.zeros),
+                       np.append(np.poly(np.conj(s.zeros))[::-1], 0.0))
+    else:
+        return []
+    c = np.trim_zeros(c, "f")
+    if not 1 < len(c) <= FIXED_POINT_DEGREE_CAP + 1:
+        return []
+    # Durand-Kerner steps from n points of the unit circle, turned by 0.4 off
+    # symmetric positions; np.roots would page in 1 MB of LAPACK code for them
+    c, n = c / c[0], len(c) - 1
+    z = np.exp(1j * (2.0 * np.pi * np.arange(n) / n + 0.4))
+    for _ in range(300):
+        step = np.polyval(c, z) / (z[:, None] - z + np.eye(n)).prod(axis=1)
+        z = z - step
+        if np.all(np.abs(step) <= 1e-15 * (1.0 + np.abs(z))):
+            break
+    found, angles = [], []
+    for r in z:
+        _register(s, found, angles, cmath.exp(1j * cmath.phase(r)), 1)
     return found
 
 

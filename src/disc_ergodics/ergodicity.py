@@ -774,7 +774,8 @@ def _interior_verdict(s: Symbol, space: str, cls: dynamics.InteriorDW) -> Ergodi
     if bound < 1.0 - 1e-10:
         evidence.append(("image_radius_bound", bound))
         return ErgodicityVerdict(space, YES, YES, tag, evidence)
-    periodic_pts = dynamics.boundary_periodic_points(s, MAX_PERIOD)
+    periodic_pts = (dynamics._boundary_fixed_points(s)
+                    or dynamics.boundary_periodic_points(s, MAX_PERIOD))
     if periodic_pts:
         bp = periodic_pts[0]
         evidence.append(("boundary_periodic_point", bp.point))
@@ -885,8 +886,9 @@ def verdict(s: Symbol, space: str, density_n: int = DENSITY_N,
     interior attracting point, an image-radius bound R < 1 - 1e-10 (exact
     for Moebius maps, sum |c_k| for polynomial and Taylor symbols) proves
     uniform convergence phi^n -> z0 and gives yes/yes with evidence
-    ``image_radius_bound``; otherwise boundary periodic points obstruct, or
-    sup-norm decay of the iterates decides.  On the density route, the
+    ``image_radius_bound``; otherwise a boundary periodic point obstructs
+    (a fixed point read from phi(z) = z, else one the sampled search finds),
+    or sup-norm decay of the iterates decides.  On the density route, the
     orbits stop once Julia's lemma keeps the rest of each of them in every
     ball (``_visits``), which answers yes; the evidence names that step,
     ``density_certified_step`` (null when every step was taken), and the

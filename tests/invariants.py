@@ -198,6 +198,34 @@ def random_interior_blaschke(rng) -> de.Blaschke:
     return de.Blaschke(rng.uniform(0, 2 * math.pi), zeros)
 
 
+def boundary_touching_polynomial(rng) -> de.Polynomial:
+    """sum c_k z^k with c_0 = 0, c_k >= 0 and sum c_k = 1, rotated: 0
+    attracts, and the circle carries a repelling fixed point."""
+    weights = rng.uniform(0.2, 1.0, int(rng.integers(2, 4)))
+    u = cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+    return de.Polynomial([0.0] + [c * u ** -k for k, c in enumerate(weights / weights.sum())])
+
+
+def check_boundary_fixed_points(cases: int = 100) -> int:
+    """The fixed points read from phi(z) = z are, as a set and to 1e-12, the
+    period-1 points of the sampled search, on ``cases`` interior-attracting
+    Blaschke products and as many ``random_circle_symbol`` maps."""
+    rng = np.random.default_rng(SEED + 11)
+    found = 0
+    for make in (random_interior_blaschke, random_circle_symbol):
+        for _ in range(cases):
+            s = make(rng)
+            read = de.dynamics._boundary_fixed_points(s)
+            searched = de.boundary_periodic_points(s, 1)
+            assert len(read) == len(searched), (s, read, searched)
+            for a in read:
+                assert a.period == 1 and a.residual <= 1e-10, (s, a)
+                assert min(abs(a.point - b.point) for b in searched) <= 1e-12, (s, a)
+            found += len(read)
+    assert found >= cases, found
+    return cases
+
+
 def check_boundary_periodic_points(cases: int = 100) -> int:
     """Reported boundary periodic points are unimodular, pass the residual
     test, carry their minimal period, and are at least 1e-8 apart."""
@@ -619,6 +647,7 @@ ALL_CHECKS = {
     "cesaro_power_boundedness": check_cesaro_power_boundedness,
     "weight_monotonicity": check_weight_monotonicity,
     "boundary_periodic_points": check_boundary_periodic_points,
+    "boundary_fixed_points": check_boundary_fixed_points,
     "orbit_closed_form": check_orbit_closed_form,
     "density_certificate": check_density_certificate,
     "lft_density_certificate": check_lft_density_certificate,

@@ -344,3 +344,27 @@ def test_criterion_18_repeating_orbits_cost_one_period(monkeypatch):
         assert float(np.max(np.abs(means - limit))) <= 1e-10, (p, q)
     _report(18, "repeating orbits cost one period", time.perf_counter() - t0, 2.0,
             f"{sum(evaluations)} evaluations for 4 x 10^5 stepped rows")
+
+
+def test_criterion_19_boundary_fixed_points_from_their_equation(monkeypatch):
+    # interior attracting points with a fixed point on the circle: the
+    # witness comes from phi(z) = z, and the sampled search is never asked
+    rng = np.random.default_rng(invariants.SEED + 19)
+    symbols = [invariants.random_interior_blaschke(rng) for _ in range(300)]
+    symbols += [invariants.boundary_touching_polynomial(rng) for _ in range(50)]
+    symbols += [de.gallery_symbol("zsq"), de.gallery_symbol("blend_half")]
+
+    def no_search(*args):
+        raise AssertionError("searched for periodic points")
+
+    monkeypatch.setattr(de.dynamics, "boundary_periodic_points", no_search)
+    t0 = time.perf_counter()
+    verdicts = [de.verdict(s, space) for s in symbols for space in ("A", "Hinf")]
+    elapsed = time.perf_counter() - t0
+    for v in verdicts:
+        evidence = dict(v.evidence)
+        assert (v.mean_ergodic, v.uniformly_mean_ergodic) == ("no", "no"), v
+        assert evidence["boundary_periodic_period"] == 1, v
+        assert evidence["boundary_periodic_residual"] <= 1e-10, v
+    _report(19, "boundary fixed points from their equation", elapsed, 1.0,
+            f"{len(verdicts)} verdicts")

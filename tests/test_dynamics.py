@@ -12,6 +12,7 @@ from disc_ergodics import dynamics, symbols
 from disc_ergodics.symbols import _as_moebius, _closed_form, boundary_points
 from invariants import (
     SEED,
+    check_boundary_fixed_points,
     check_boundary_periodic_points,
     check_classify_conjugation_invariance,
     random_automorphism,
@@ -575,6 +576,56 @@ def test_boundary_periodic_points_match_scalar_bisection():
         assert got == _scalar_bisection_search(s, max_period), (s, max_period)
         total += len(got)
     assert total >= 150
+
+
+def _same_points(read, searched, tol=1e-12):
+    return len(read) == len(searched) and all(
+        min(abs(a.point - b.point) for b in searched) <= tol for a in read)
+
+
+@pytest.mark.parametrize("s, expected", [
+    (ZSQ, [1.0]),  # a repeated zero at 0: the equation z^2 - z ends in a zero
+    (de.Taylor([0, 0, 1]), [1.0]),
+    (de.Polynomial([0, 0.5, 0.5, 0]), [1.0]),  # a trailing zero coefficient
+    # ((z + 0.6)/(1 + 0.6 z))^2: 9 z^2 + 14 z + 9 = 0 puts two more on the circle
+    (de.Blaschke(0.0, [-0.6, -0.6]), [1.0, (-7 + 32**0.5 * 1j) / 9, (-7 - 32**0.5 * 1j) / 9]),
+], ids=["zsq", "taylor_z2", "trailing_zero", "repeated_blaschke_zero"])
+def test_boundary_fixed_points_from_their_equation(s, expected):
+    read = dynamics._boundary_fixed_points(s)
+    assert _same_points(read, de.boundary_periodic_points(s, 1))
+    assert _same_points(read, [dynamics.BoundaryPeriodicPoint(q, 1, 0.0) for q in expected])
+    assert all(bp.period == 1 and bp.residual <= 1e-10 for bp in read)
+    angles = [cmath.phase(bp.point) % (2 * math.pi) for bp in read]
+    assert angles == sorted(angles)
+
+
+def test_boundary_fixed_points_up_to_the_degree_cap():
+    # (z + z^d)/2 fixes the (d - 1)-th roots of unity; phi(z) - z has degree d
+    cap = dynamics.FIXED_POINT_DEGREE_CAP
+    at_cap = de.Polynomial([0, 0.5] + [0] * (cap - 2) + [0.5])
+    read = dynamics._boundary_fixed_points(at_cap)
+    assert len(read) == cap - 1 and _same_points(read, de.boundary_periodic_points(at_cap, 1))
+    assert dynamics._boundary_fixed_points(de.Polynomial([0, 0.5] + [0] * (cap - 1) + [0.5])) == []
+
+
+def test_boundary_fixed_points_of_a_moebius_map_are_not_read():
+    # z/(2 - z) fixes 1, but linear-fractional maps are left to the search
+    s = de.Moebius(1, 0, -1, 2)
+    assert dynamics._boundary_fixed_points(s) == []
+    assert [bp.point for bp in de.boundary_periodic_points(s, 1)] == [1.0]
+
+
+def test_register_applies_the_residual_and_duplicate_rules():
+    # near the fixed point 1 of BLEND, |phi(e^{it}) - e^{it}| is about |t|/2
+    found, angles = [], []
+    for t in (4e-10, 1e-10, -1e-10):
+        dynamics._register(BLEND, found, angles, cmath.exp(1j * t), 1)
+    dynamics._register(BLEND, found, angles, complex("nan+nanj"), 1)  # an unsettled zero
+    assert [bp.point for bp in found] == [cmath.exp(1e-10j)]
+
+
+def test_boundary_fixed_points_invariants():
+    assert check_boundary_fixed_points(200) >= 200
 
 
 # ---------------------------------------------------------------------------

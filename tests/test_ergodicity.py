@@ -619,6 +619,57 @@ def test_verdict_interior_certificate():
     assert "sup_distance_last" in evidence and "image_radius_bound" not in evidence
 
 
+def _count_searches(monkeypatch) -> list:
+    searches = []
+    search = de.dynamics.boundary_periodic_points
+
+    def counting(s, max_period):
+        searches.append(max_period)
+        return search(s, max_period)
+
+    monkeypatch.setattr(de.dynamics, "boundary_periodic_points", counting)
+    return searches
+
+
+@pytest.mark.parametrize("s, period", [
+    (de.Polynomial([0, -0.5, 0, 0.5]), 2),  # no fixed point on the circle; the 2-cycle +-i
+    # phi(z) - z of degree one above the cap
+    (de.Polynomial([0, 0.5] + [0] * (de.dynamics.FIXED_POINT_DEGREE_CAP - 1) + [0.5]), 1),
+    (de.Moebius(1, 0, -1, 2), 1),  # z/(2 - z) fixes 1; Moebius maps are not read
+], ids=["two_cycle", "above_degree_cap", "moebius"])
+def test_verdict_falls_back_to_the_period_search(s, period, monkeypatch):
+    searches = _count_searches(monkeypatch)
+    for space in ("A", "Hinf"):
+        v = _v(s, space)
+        assert (v.mean_ergodic, v.uniformly_mean_ergodic) == ("no", "no")
+        assert dict(v.evidence)["boundary_periodic_period"] == period
+    assert searches == [de.ergodicity.MAX_PERIOD] * 2
+
+
+def test_verdict_reads_the_fixed_point_before_searching(monkeypatch):
+    searches = _count_searches(monkeypatch)
+    evidence = dict(_v(ZSQ, "A").evidence)
+    assert evidence["boundary_periodic_point"] == 1.0
+    assert evidence["boundary_periodic_period"] == 1 and searches == []
+
+
+def test_planted_cycles_reach_the_search_as_before(monkeypatch):
+    # (e^{2 pi i/k} z + z^{k+1})/2, conjugated by a rotation, fixes no point of
+    # the circle for k >= 2, so its verdict is the search's, as without the
+    # fixed-point equation; yes/yes for k >= 4 is the open wrong answer of a
+    # search that stops at MAX_PERIOD = 3
+    rng = np.random.default_rng(14)
+    symbols = []
+    for k in range(2, 9):
+        lam = cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+        coeffs = [0.0, 0.5 * cmath.exp(2j * math.pi / k)] + [0.0] * (k - 1) + [0.5]
+        symbols.append(de.Polynomial([c * lam ** (j - 1) for j, c in enumerate(coeffs)]))
+    assert all(de.dynamics._boundary_fixed_points(s) == [] for s in symbols)
+    reports = [_v(s, space).to_dict() for s in symbols for space in ("A", "Hinf")]
+    monkeypatch.setattr(de.dynamics, "_boundary_fixed_points", lambda s: [])
+    assert reports == [_v(s, space).to_dict() for s in symbols for space in ("A", "Hinf")]
+
+
 def test_verdict_density_route_names_its_certificate():
     for s, certified in ((de.Polynomial([0.19, 0.8, 0.01]), True),
                          (de.Polynomial([0.5, 0.0, 0.5]), False)):
