@@ -368,3 +368,18 @@ def test_criterion_19_boundary_fixed_points_from_their_equation(monkeypatch):
         assert evidence["boundary_periodic_residual"] <= 1e-10, v
     _report(19, "boundary fixed points from their equation", elapsed, 1.0,
             f"{len(verdicts)} verdicts")
+
+
+def test_criterion_20_report_values_formatted_in_numpy(tmp_path):
+    # 10**5 rows of 4 doubles of the numpy kernel's range, log-uniform over
+    # 1e-200 <= |x| < 10, give the bytes of one % operation per row
+    rng = np.random.default_rng(invariants.SEED + 20)
+    table = 10.0 ** rng.uniform(-200, 1, (10**5, 4)) * rng.choice([-1.0, 1.0], (10**5, 4))
+    path = tmp_path / "values.csv"
+    t0 = time.perf_counter()
+    cli._write_csv(str(path), "a,b,c,d", "%.17g,%.17g,%.17g,%.17g", table)
+    elapsed = time.perf_counter() - t0
+    expected = "a,b,c,d\n" + "".join("%.17g,%.17g,%.17g,%.17g\n" % tuple(r)
+                                     for r in table.tolist())
+    assert path.read_bytes() == expected.encode()
+    _report(20, "report values formatted in numpy", elapsed, 0.25, f"{table.size} values")

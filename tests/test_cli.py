@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -281,6 +282,85 @@ def test_write_csv_matches_one_format_per_float(tmp_path, rows):
         ",".join([str(int(r[0]))] + [format(x, ".17g") for x in r[1:]]) + "\n"
         for r in table.tolist())
     assert path.read_bytes() == expected.encode()
+
+
+def _assert_writes_as_percent(tmp_path, row, table):
+    # _write_csv gives, line by line, the text of one % operation per row
+    path = tmp_path / "t.csv"
+    cli._write_csv(str(path), "h", row, table)
+    expected = ["h"] + [row % tuple(r) for r in table.tolist()]
+    assert path.read_text().split("\n") == expected + [""]
+
+
+def _near_ties():
+    # doubles x = M·2**(b-52) whose x·10**k is d·2**-L from a half-integer,
+    # for x·10**k in [1e16, 1e17): from k = 23 on, 10**k is no double, the
+    # kernel's fraction is rounded, and Python formats these
+    ties = []
+    for k in range(23, 31):
+        for b in range(-60, -20):
+            L = 52 - k - b                     # x·10**k = M·5**k / 2**L
+            inverse = pow(5**k, -1, 2**L)
+            for d in range(-8, 9):
+                first = (2 ** (L - 1) + d) * inverse % 2**L
+                first += -(-(2**52 - first) // 2**L) * 2**L
+                ties += [math.ldexp(m, b - 52) for m in range(first, 2**53, 2**L)
+                         if 10**16 <= m * 5**k >> L < 10**17]
+    return np.array(ties)
+
+
+def _fast_range_cases():
+    # the hard cases of the numpy kernel, which takes 1e-200 <= |x| < 1e17
+    powers = np.array([float(f"1e{k}") for k in range(-201, 18)])
+    odd = np.arange(1, 2**10, 2.0)
+    rng = np.random.default_rng(20)
+    places = 10.0 ** rng.integers(0, 6, 20_000)
+    return {
+        "log_uniform": 10.0 ** rng.uniform(-200, 17, 60_000),
+        "powers_of_ten": np.concatenate([np.nextafter(powers, 0), powers,
+                                         np.nextafter(powers, np.inf)]),
+        # the doubles just below 1e-14, 1e-70, ... round up to the power
+        "round_up": np.array([float(f"9.9999999999999999{d}e{k}")
+                              for k in range(-201, 17) for d in ("", "9", "4")]),
+        "fixed_exponent_switch": np.outer([1e-4, 1e-5], 1 + np.arange(-64, 65) * 2.0**-53),
+        "three_digit_exponents": 10.0 ** rng.uniform(-201, -99, 20_000),
+        # from 10 on the point moves into the digits, or goes with the zeros
+        "point_among_the_digits": np.round(10.0 ** rng.uniform(1, 17, 20_000) * places) / places,
+        # m·2**-j: among them every exact tie of 17 digits, such as 2**-25
+        "ties": np.ldexp(odd, -np.arange(1, 70)[:, None]),
+        "near_ties": _near_ties(),
+        "range_edges": np.array([1e-200, np.nextafter(1e-200, 0), np.nextafter(1e-200, 1),
+                                 1e-201, 1e17, np.nextafter(1e17, 0), 1e17 + 16, 9.5, 99.5,
+                                 5e-324, 2.2250738585072014e-308, 0.0, 1.0, 1e-300, 1e300]),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_fast_range_cases()))
+def test_write_csv_matches_percent_across_the_fast_range(tmp_path, case):
+    values = _fast_range_cases()[case].ravel()
+    signs = np.random.default_rng(len(values)).choice([-1.0, 1.0], len(values))
+    table = np.concatenate([values, values * signs])
+    table = np.resize(table, (-(-len(table) // 3), 3))
+    _assert_writes_as_percent(tmp_path, "%.17g,%.17g,%.17g", table)
+
+
+def test_write_csv_counts_as_percent_d(tmp_path):
+    rng = np.random.default_rng(22)
+    values = np.concatenate([
+        [0.0, -0.0, 9, 10, 99, 100, 2.0**53, 2.0**53 + 2, 1e16 - 2, 1e16, 1e17, 1e300,
+         -1e300, -1, -9, -10, 0.5, -0.5, -0.9999, 1.5, -1.5, 9.99, 123456789012345.6],
+        np.floor(10.0 ** rng.uniform(0, 16, 3000)) * rng.choice([-1, 1], 3000),
+        rng.uniform(-1e6, 1e6, 3000)])
+    table = np.column_stack((values, values[::-1], np.abs(values)))
+    _assert_writes_as_percent(tmp_path, "%d,%.17g,%d", table)
+
+
+def test_write_csv_raises_like_percent_d_on_non_finite_counts(tmp_path):
+    for bad, error in ((np.nan, ValueError), (np.inf, OverflowError)):
+        with pytest.raises(error):
+            "%d" % bad
+        with pytest.raises(error):
+            cli._write_csv(str(tmp_path / "t.csv"), "n", "%d", np.array([[1.0], [bad]]))
 
 
 def test_cesaro_csv_round_trips_the_trace(tmp_path):
