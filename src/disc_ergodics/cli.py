@@ -17,9 +17,8 @@ requested verdict comes back undecided -- distinct so scripts can branch on
 numerical non-decision.  All outputs are deterministic: identical inputs
 produce byte-identical files.  In the CSV files counts print as integers and
 every other value with ``%.17g``, which round-trips each double.  The bytes
-are those of ``"%d" % x`` and ``"%.17g" % x``: a numpy kernel computes them
-for ±0 and 1e-200 <= |x| < 1e17, and Python formats the other values, and
-those within 1e-6 of a rounding tie, one by one.
+are those of ``"%d" % x`` and ``"%.17g" % x``; a numpy kernel computes most
+of them (``_format_cells``).
 
 Library errors end the run with exit code 1 and a one-line ``error: ...``
 message on stderr, never a traceback:
@@ -122,17 +121,17 @@ def _csv_tables():
     """The CSV kernel's tables, built on first use: 10**k for k = 0..218 as
     double-doubles (hi, lo, and hi split for Dekker's product); the ASCII
     digits of 0..9999 as uint32; as uint64, masks of the first j of 8 bytes,
-    the bytes 0-7 of ``"%.17g"`` by (form, sign), and its exponents by -e."""
+    and by k = 16 - e, the bytes 0-7 of ``"%.17g"`` (by sign) and 24-31."""
     hi = [float(10**k) for k in range(219)]
     lo = [float(10**k - int(h)) for k, h in enumerate(hi)]
     two = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), np.uint8).reshape(100, 2)
     groups = np.hstack((np.repeat(two, 100, axis=0), np.tile(two, (100, 1)))).view(np.uint32)
     keep = [b"\xff" * j + bytes(8 - j) for j in range(9)]
-    # forms 0 (e = 0) and 5 (e < -4, with an exponent): d.ddd; 1-4: 0.ddd,
-    # 0.0ddd, ...; 6: e > 0, where the point moves into the digits
-    prefix = [sign + (b"0." + b"0" * (form - 1) if 0 < form < 5 else bytes(6) + b"." * (form < 6))
-              .ljust(7, b"\0") for form in range(7) for sign in (b"\0", b"-")]
-    exponent = [(b"e-%02d" % i if i > 4 else b"").ljust(8, b"\0") for i in range(203)]
+    # d.ddd at e = 0 and with an exponent below -4, 0.ddd ... 0.0000ddd in
+    # between, and a count's digits from e = 1 on, with no point
+    prefix = [sign + (b"0." + b"0" * (-e - 1) if -5 < e < 0 else bytes(6) + b"." * (e <= 0))
+              .ljust(7, b"\0") for e in range(16, -203, -1) for sign in (b"\0", b"-")]
+    exponent = [(b"e-%02d" % -e if e < -4 else b"").ljust(8, b"\0") for e in range(16, -203, -1)]
     return (np.array([hi, lo, *_split(np.array(hi))]), groups.ravel(),
             *(np.frombuffer(b"".join(t), np.uint64) for t in (keep, prefix, exponent)))
 
@@ -157,17 +156,14 @@ def _format_cells(values, count):
     """``"%d" % x`` where ``count`` and ``"%.17g" % x`` elsewhere, for each
     double, as NUL-padded rows of at least 32 bytes with the last one NUL.
 
-    The numpy kernel formats ±0 and 1e-200 <= |x| < 1e17, a count as
-    ``"%.17g" % trunc(x)``.  Python formats the rest, and the values whose
-    scaled fraction is within 1e-6 of 1/2: exact ties, which round half to
-    even, have an exact fraction, but below 1e-6 10**k is no double and a
-    near tie may round the wrong way.  Bytes: 0 sign, 1-5 "0." and the
-    zeros after it, 6 first digit, 7 its point, 8-23 the other 16 digits
-    (and from 10 on, the point among them), 24-28 the exponent.
-    """
+    The kernel takes ±0, floats with 1e-200 <= |x| < 10 and counts below
+    1e17, as ``"%.17g" % trunc(x)``.  Python formats the rest, and near ties:
+    below 1e-6 10**k is no double, so a scaled fraction within 1e-6 of 1/2
+    may round the wrong way.  Bytes: 0 sign, 1-5 "0." and its zeros, 6 first
+    digit, 7 its point, 8-23 the other 16 digits, 24-28 the exponent."""
     v = np.where(count, np.trunc(values) + 0.0, values)     # + 0.0 turns -0 into 0
     a = np.abs(v)
-    fast = (a >= 1e-200) & (a < 1e17)
+    fast = (a >= 1e-200) & (a < np.where(count, 1e17, 10))
     x = np.where(fast, a, 1 + 2**-52)     # a stand-in of 17 digits, overwritten below
     # floor(log10 x) can be one off near a power of ten: correct it on x·10**k
     e = np.minimum(np.floor(np.log10(x)), 16).astype(np.intp)
@@ -184,8 +180,9 @@ def _format_cells(values, count):
     _, groups, keep, prefix, exponent = _csv_tables()
     out = np.empty((len(v), 32), np.uint8)
     words, quads = out.view(np.uint64), out.view(np.uint32)
-    words[:, 0] = prefix[2 * np.where(e > 0, 6, np.minimum(-e, 5)) + np.signbit(v)]
-    words[:, 3] = exponent[np.where(e < -4, -e, 0)]
+    k = 16 - e
+    words[:, 0] = prefix[2 * k + np.signbit(v)]
+    words[:, 3] = exponent[k]
     top = n // 10**16                     # the first digit, then four groups of four
     out[:, 6] = top + ord("0")
     rest = n - top * 10**16
@@ -201,16 +198,10 @@ def _format_cells(values, count):
         words[short, 1] &= keep[np.minimum(kept, 8)]
         words[short, 2] &= keep[np.maximum(kept - 8, 0)]
         out[short[kept == 0], 7] = 0
-    # from 10 on, a digit after the point moves the point after digit e
-    big = (e > 0).nonzero()[0]
-    big = big[out[big, 8 + e[big]] != 0]
-    if len(big):
-        digits, point, i = out[big, 8:25], e[big, None], np.arange(17)
-        out[big, 8:25] = np.where(i < point, digits, np.where(i == point, ord("."),
-                                                              np.roll(digits, 1, axis=1)))
     zero = (a == 0).nonzero()[0]
-    out[zero, 6:8] = (ord("0"), 0)
-    words[zero, 1:3] = 0
+    if len(zero):
+        out[zero, 6:8] = (ord("0"), 0)
+        words[zero, 1:3] = 0
     slow = (~fast & (a != 0) | (np.abs(t - r) > 0.5 - 1e-6)).nonzero()[0]
     if not len(slow):
         return out
@@ -226,17 +217,10 @@ def _format_cells(values, count):
 
 def _write_csv(path: str, header: str, row: str, table: np.ndarray) -> None:
     """Write ``header`` and one line per row of the 2-D float array ``table``,
-    formatted by ``row``: comma-separated ``%d`` and ``%.17g`` fields.
-
-    The bytes are those of ``"%d" % x`` and ``"%.17g" % x``, value by value:
-    a numpy kernel computes the digits of most values exactly, and Python
-    formats the others (``_format_cells``).  Each block of rows is laid out
-    in NUL-padded slots, one per value, and the NULs are dropped at once.
-    """
+    formatted by ``row``, comma-separated ``%d`` and ``%.17g`` fields: each
+    block of rows in NUL-padded slots, one per value, the NULs dropped at once."""
     specs = row.split(",")
-    if not set(specs) <= {"%d", "%.17g"}:
-        raise ValueError(f"unsupported CSV row format {row!r}")
-    count = np.tile([s == "%d" for s in specs], 1024)
+    count = np.tile([s == "%d" for s in specs], min(len(table), 1024))
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
         for start in range(0, len(table), 1024):

@@ -310,7 +310,8 @@ def _near_ties():
 
 
 def _fast_range_cases():
-    # the hard cases of the numpy kernel, which takes 1e-200 <= |x| < 1e17
+    # the hard cases of the numpy kernel, which takes floats with
+    # 1e-200 <= |x| < 10, and their neighbours that Python formats
     powers = np.array([float(f"1e{k}") for k in range(-201, 18)])
     odd = np.arange(1, 2**10, 2.0)
     rng = np.random.default_rng(20)
@@ -324,7 +325,7 @@ def _fast_range_cases():
                               for k in range(-201, 17) for d in ("", "9", "4")]),
         "fixed_exponent_switch": np.outer([1e-4, 1e-5], 1 + np.arange(-64, 65) * 2.0**-53),
         "three_digit_exponents": 10.0 ** rng.uniform(-201, -99, 20_000),
-        # from 10 on the point moves into the digits, or goes with the zeros
+        # from 10 on, Python formats floats: the point among the digits
         "point_among_the_digits": np.round(10.0 ** rng.uniform(1, 17, 20_000) * places) / places,
         # m·2**-j: among them every exact tie of 17 digits, such as 2**-25
         "ties": np.ldexp(odd, -np.arange(1, 70)[:, None]),
