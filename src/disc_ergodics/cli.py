@@ -160,7 +160,12 @@ def _format_cells(values, count):
     1e17, as ``"%.17g" % trunc(x)``.  Python formats the rest, and near ties:
     below 1e-6 10**k is no double, so a scaled fraction within 1e-6 of 1/2
     may round the wrong way.  Bytes: 0 sign, 1-5 "0." and its zeros, 6 first
-    digit, 7 its point, 8-23 the other 16 digits, 24-28 the exponent."""
+    digit, 7 its point, 8-23 the other 16 digits, 24-28 the exponent.
+    Blocks of fewer than 128 values go to Python whole: the kernel's fixed
+    cost, about 60 µs, is that of formatting some 150 values one by one."""
+    if len(values) < 128:
+        return _percent_cells(np.empty((len(values), 32), np.uint8), values, count,
+                              np.arange(len(values)))
     v = np.where(count, np.trunc(values) + 0.0, values)     # + 0.0 turns -0 into 0
     a = np.abs(v)
     fast = (a >= 1e-200) & (a < np.where(count, 1e17, 10))
@@ -203,15 +208,17 @@ def _format_cells(values, count):
         out[zero, 6:8] = (ord("0"), 0)
         words[zero, 1:3] = 0
     slow = (~fast & (a != 0) | (np.abs(t - r) > 0.5 - 1e-6)).nonzero()[0]
-    if not len(slow):
-        return out
-    # Python formats the values the kernel leaves
+    return _percent_cells(out, values, count, slow) if len(slow) else out
+
+
+def _percent_cells(out, values, count, rows):
+    """``out`` with Python's text of the values at ``rows`` in their rows."""
     text = np.array([("%d" if c else "%.17g") % x
-                     for x, c in zip(values[slow].tolist(), count[slow].tolist())], dtype=bytes)
+                     for x, c in zip(values[rows].tolist(), count[rows].tolist())], dtype=bytes)
     if text.itemsize >= out.shape[1]:
         out = np.pad(out, ((0, 0), (0, text.itemsize + 1 - out.shape[1])))
-    out[slow] = 0
-    out[slow, :text.itemsize] = text.view(np.uint8).reshape(len(text), -1)
+    out[rows] = 0
+    out[rows, :text.itemsize] = text.view(np.uint8).reshape(len(text), -1)
     return out
 
 

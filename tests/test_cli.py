@@ -330,9 +330,11 @@ def _fast_range_cases():
         # m·2**-j: among them every exact tie of 17 digits, such as 2**-25
         "ties": np.ldexp(odd, -np.arange(1, 70)[:, None]),
         "near_ties": _near_ties(),
-        "range_edges": np.array([1e-200, np.nextafter(1e-200, 0), np.nextafter(1e-200, 1),
-                                 1e-201, 1e17, np.nextafter(1e17, 0), 1e17 + 16, 9.5, 99.5,
-                                 5e-324, 2.2250738585072014e-308, 0.0, 1.0, 1e-300, 1e300]),
+        # tiled past the 128 values from which a block goes to the kernel
+        "range_edges": np.tile([1e-200, np.nextafter(1e-200, 0), np.nextafter(1e-200, 1),
+                                1e-201, 1e17, np.nextafter(1e17, 0), 1e17 + 16, 9.5, 99.5,
+                                10, np.nextafter(10, 0), 5e-324, 2.2250738585072014e-308,
+                                0.0, 1.0, 1e-300, 1e300], 8),
     }
 
 
@@ -360,8 +362,10 @@ def test_write_csv_raises_like_percent_d_on_non_finite_counts(tmp_path):
     for bad, error in ((np.nan, ValueError), (np.inf, OverflowError)):
         with pytest.raises(error):
             "%d" % bad
-        with pytest.raises(error):
-            cli._write_csv(str(tmp_path / "t.csv"), "n", "%d", np.array([[1.0], [bad]]))
+        for rows in (1, 1000):               # Python alone, and the kernel
+            with pytest.raises(error):
+                cli._write_csv(str(tmp_path / "t.csv"), "n", "%d",
+                               np.append(np.ones(rows), bad)[:, None])
 
 
 def test_cesaro_csv_round_trips_the_trace(tmp_path):
