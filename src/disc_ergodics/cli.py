@@ -181,7 +181,7 @@ def _format_cells(values, count):
     r = np.rint(t)
     n = p.astype(np.int64) + r.astype(np.int64)
     up = n == 10**17                      # rounded up to the next power of ten
-    n, e = np.where(up, 10**16, n), e + up
+    n, e = np.where(up, 10**16, n) * (a != 0), e + up      # n = 0 formats ±0
     _, groups, keep, prefix, exponent = _csv_tables()
     out = np.empty((len(v), 32), np.uint8)
     words, quads = out.view(np.uint64), out.view(np.uint32)
@@ -203,10 +203,6 @@ def _format_cells(values, count):
         words[short, 1] &= keep[np.minimum(kept, 8)]
         words[short, 2] &= keep[np.maximum(kept - 8, 0)]
         out[short[kept == 0], 7] = 0
-    zero = (a == 0).nonzero()[0]
-    if len(zero):
-        out[zero, 6:8] = (ord("0"), 0)
-        words[zero, 1:3] = 0
     slow = (~fast & (a != 0) | (np.abs(t - r) > 0.5 - 1e-6)).nonzero()[0]
     return _percent_cells(out, values, count, slow) if len(slow) else out
 
