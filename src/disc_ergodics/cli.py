@@ -220,8 +220,9 @@ def _percent_cells(out, values, count, rows):
 
 def _write_csv(path: str, header: str, row: str, table: np.ndarray) -> None:
     """Write ``header`` and one line per row of the 2-D float array ``table``,
-    formatted by ``row``, comma-separated ``%d`` and ``%.17g`` fields: each
-    block of rows in NUL-padded slots, one per value, the NULs dropped at once."""
+    formatted by ``row``, comma-separated ``%d`` and ``%.17g`` fields, with the
+    bytes of ``%`` (``_format_cells``): each block of rows in NUL-padded slots,
+    one per value, the NULs dropped at once."""
     specs = row.split(",")
     count = np.tile([s == "%d" for s in specs], min(len(table), 1024))
     with open(path, "wb") as fh:
