@@ -42,8 +42,8 @@ from .symbols import (
 # values within BORDERLINE_BAND of 1 are flagged in classification notes.
 TOL_PARABOLIC = 1e-6
 BORDERLINE_BAND = 1e-4
-DW_MAX_ITER_DEFAULT = 10**6
-DW_TOL_DEFAULT = 1e-6
+DW_MAX_ITER = 10**6  # step budget of the Denjoy-Wolff orbit
+DW_TOL = 1e-6  # step size at which it stops; Newton polish takes it further
 BOUNDARY_PROXIMITY_TOL = 1e-6
 FIXED_POINT_RESIDUAL_TOL = 1e-8
 PERIOD_SAMPLES = 2048  # equispaced angles that bracket boundary periodic points
@@ -202,15 +202,15 @@ def _is_identity_probe(s: Symbol) -> bool:
 # ---------------------------------------------------------------------------
 # Denjoy-Wolff point
 
-def denjoy_wolff(s: Symbol, max_iter: int = DW_MAX_ITER_DEFAULT,
-                 tol: float = DW_TOL_DEFAULT) -> DWResult:
+def denjoy_wolff(s: Symbol) -> DWResult:
     """Locate the Denjoy-Wolff point.
 
     Moebius maps use the attracting fixed point of their normal form; other
-    symbols iterate from 0 until successive steps shrink below ``tol``, and
-    the rate estimate is the last ratio of step sizes.  Parabolic-type
-    convergence (~C/n) can exhaust the budget at tight tolerances; then
-    NonConvergenceError reports the last point instead of an answer.
+    symbols iterate from 0 until successive steps shrink below ``DW_TOL``,
+    within ``DW_MAX_ITER`` steps, and the rate estimate is the last ratio of
+    step sizes.  Parabolic-type convergence (~C/n) can exhaust the budget at
+    tight tolerances; then NonConvergenceError reports the last point
+    instead of an answer.
     """
     if _is_identity_probe(s):
         raise EllipticInputError("the identity has no Denjoy-Wolff point")
@@ -225,20 +225,20 @@ def denjoy_wolff(s: Symbol, max_iter: int = DW_MAX_ITER_DEFAULT,
     z = 0.0 + 0.0j
     prev_step = None
     rate = math.nan
-    for n in range(1, max_iter + 1):
+    for n in range(1, DW_MAX_ITER + 1):
         w = complex(s(z))
         step = abs(w - z)
         if prev_step is not None and prev_step > 0:
             rate = step / prev_step
-        if step < tol:
+        if step < DW_TOL:
             residual = abs(complex(s(w)) - w)
             return DWResult(w, n, residual, rate if not math.isnan(rate) else 0.0)
         prev_step = step
         z = w
     raise NonConvergenceError(
-        f"no convergence within {max_iter} iterations at tol {tol:g}",
+        f"no convergence within {DW_MAX_ITER} iterations at tol {DW_TOL:g}",
         last_point=z,
-        iterations=max_iter,
+        iterations=DW_MAX_ITER,
     )
 
 
@@ -248,26 +248,17 @@ def denjoy_wolff(s: Symbol, max_iter: int = DW_MAX_ITER_DEFAULT,
 def angular_derivative(s: Symbol, z0: complex) -> float:
     """|phi'(z0)| at a boundary fixed point z0.
 
-    Moebius, Blaschke and polynomial symbols extend holomorphically across
-    the circle, so the analytic derivative applies.  Taylor symbols live only
-    on the closed disc; there the radial quotient (1 - |phi(r z0)|)/(1 - r)
-    is sampled at r = 1 - 2^-j and Richardson-extrapolated.
+    Every symbol kind extends holomorphically across the circle (a Taylor
+    symbol is its stored polynomial), so by the Julia-Caratheodory theorem
+    the angular derivative is the modulus of the analytic derivative
+    (Cowen-MacCluer 1995, ch. 2).
     """
     z0 = complex(z0)
     if abs(abs(z0) - 1.0) > 1e-8:
         raise ValueError(f"z0 = {z0!r} is not on the unit circle")
     if abs(complex(s(z0)) - z0) > FIXED_POINT_RESIDUAL_TOL:
         raise ValueError(f"z0 = {z0!r} is not fixed by the symbol")
-    if not isinstance(s, Taylor):
-        return abs(complex(s.derivative(z0)))
-    quotients = []
-    for j in range(4, 21):
-        r = 1.0 - 2.0 ** (-j)
-        quotients.append((1.0 - abs(complex(s(r * z0)))) / (1.0 - r))
-    # One Richardson level: the quotient approaches the limit linearly in
-    # (1 - r), so 2 d_{j+1} - d_j cancels the leading error term.
-    extrapolated = [2.0 * b - a for a, b in zip(quotients, quotients[1:])]
-    return float(extrapolated[-1])
+    return abs(complex(s.derivative(z0)))
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +308,9 @@ def classify(s: Symbol) -> SymbolClass:
     Linear-fractional symbols are classified from their normal form: an
     automorphism fixing a point of the disc is an elliptic automorphism, and
     otherwise the attracting fixed point is interior or on the circle.
-    Everything else goes through the Denjoy-Wolff search; boundary
-    candidates are Newton-polished and verified against
-    FIXED_POINT_RESIDUAL_TOL before being believed.  Raises
+    Everything else goes through the Denjoy-Wolff search; its candidate is
+    Newton-polished and verified against FIXED_POINT_RESIDUAL_TOL before
+    being believed.  Raises
     UnclassifiableError instead of guessing when residuals stay large.
     """
     if _is_identity_probe(s):
@@ -336,20 +327,13 @@ def classify(s: Symbol) -> SymbolClass:
         if abs(p) > 1.0 + 1e-8:
             raise UnclassifiableError("no fixed point of the Moebius map on the closed disc")
         return _boundary_class(s, p)
-    # General route: iterate, then decide interior vs boundary.
-    taylor = isinstance(s, Taylor)
+    # General route, one for every other kind (a Taylor symbol is its stored
+    # polynomial): iterate, polish, then decide interior vs boundary.
     try:
-        # Taylor symbols admit no Newton polish past the circle, so their
-        # orbit runs to a much tighter step tolerance instead.
-        dw = denjoy_wolff(s, max_iter=2 * 10**5 if taylor else DW_MAX_ITER_DEFAULT,
-                          tol=1e-11 if taylor else DW_TOL_DEFAULT)
-        point = dw.point
+        point = denjoy_wolff(s).point
     except NonConvergenceError as exc:
         point = exc.last_point
-    if not taylor:
-        point = _polish_fixed_point(s, point)
-    elif abs(point) >= 1.0 - BOUNDARY_PROXIMITY_TOL:
-        point = point / abs(point)
+    point = _polish_fixed_point(s, point)
     residual = abs(complex(s(point)) - point)
     if residual > FIXED_POINT_RESIDUAL_TOL:
         raise UnclassifiableError(

@@ -319,12 +319,12 @@ class Polynomial(Symbol):
 
 @dataclass(frozen=True)
 class Taylor(Symbol):
-    """Truncated Taylor series with certified absolutely-summable coefficients.
+    """A power series given by its first coefficients, at most ``truncation``.
 
-    ``abs_sum_bound``, when supplied, certifies that the absolute coefficient
-    sum of the full (untruncated) series stays below the bound, so the symbol
-    extends continuously to the closed disc and the truncation error is
-    controlled by the tail of the majorant.
+    The symbol is its stored polynomial sum c_k z^k: it is evaluated,
+    differentiated and classified as the ``Polynomial`` with the same
+    coefficients.  ``abs_sum_bound``, when supplied, is a validation only:
+    construction fails if sum |c_k| of the stored coefficients exceeds it.
     """
 
     coeffs: tuple

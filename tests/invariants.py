@@ -640,6 +640,37 @@ def check_inner_predicate(cases: int = 100) -> int:
     return cases
 
 
+def _classified(s: de.Symbol) -> str:
+    try:
+        return repr(de.classify(s))
+    except de.UnclassifiableError as exc:
+        return f"UnclassifiableError: {exc}"
+
+
+def check_taylor_matches_polynomial(cases: int = 100) -> int:
+    """A Taylor symbol is its stored polynomial: ``classify``, and
+    ``angular_derivative`` at its boundary fixed points, agree bit for bit
+    between ``Taylor(c)`` and ``Polynomial(c)``.  Coefficient lists come from
+    ``random_symbol``, ``boundary_touching_polynomial`` and hyperbolic
+    ``_boundary_attracting_polynomial``, ``cases`` of each."""
+    rng = np.random.default_rng(SEED + 12)
+    boundary = 0
+    for _ in range(cases):
+        s = random_symbol(rng)
+        while not isinstance(s, (de.Polynomial, de.Taylor)):
+            s = random_symbol(rng)
+        for c in (s.coeffs, boundary_touching_polynomial(rng).coeffs,
+                  _boundary_attracting_polynomial(rng, False).coeffs):
+            taylor, poly = de.Taylor(c), de.Polynomial(c)
+            assert _classified(taylor) == _classified(poly), c
+            for bp in de.dynamics._boundary_fixed_points(poly):
+                got = de.angular_derivative(taylor, bp.point)
+                assert repr(got) == repr(de.angular_derivative(poly, bp.point)), (c, bp)
+                boundary += 1
+    assert boundary >= 2 * cases, boundary
+    return cases
+
+
 ALL_CHECKS = {
     "derivative_vs_finite_difference": check_derivative_finite_difference,
     "schwarz_monotonicity": check_schwarz_monotonicity,
@@ -653,4 +684,5 @@ ALL_CHECKS = {
     "lft_density_certificate": check_lft_density_certificate,
     "orbit_early_exit": check_orbit_early_exit,
     "inner_predicate": check_inner_predicate,
+    "taylor_matches_polynomial": check_taylor_matches_polynomial,
 }

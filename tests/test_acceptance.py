@@ -383,3 +383,29 @@ def test_criterion_20_report_values_formatted_in_numpy(tmp_path):
                                      for r in table.tolist())
     assert path.read_bytes() == expected.encode()
     _report(20, "report values formatted in numpy", elapsed, 0.25, f"{table.size} values")
+
+
+def test_criterion_21_taylor_symbols_classified_like_their_polynomials():
+    # a Taylor symbol is its stored polynomial, so a parabolic boundary
+    # point is found as for the polynomial: an orbit that closes in like 1/n
+    # is polished onto it, and not read as an interior point near it
+    rng = np.random.default_rng(invariants.SEED + 21)
+    polys = [de.Polynomial([0.5, 0.0, 0.5]), de.Polynomial([0.25, 0.5, 0.25])]
+    polys += [invariants._boundary_attracting_polynomial(rng, True) for _ in range(60)]
+    taylors = [de.Taylor(p.coeffs) for p in polys]
+    classes, times = [], []
+    for s in taylors:
+        t0 = time.perf_counter()
+        classes.append(de.classify(s))
+        times.append(time.perf_counter() - t0)
+    for s, p, cls in zip(taylors, polys, classes):
+        assert isinstance(cls, de.ParabolicDW), (s, cls)
+        assert cls.to_dict() == de.classify(p).to_dict(), (s, cls)
+    for s, cls, elapsed in zip(taylors[:2], classes, times):
+        assert cls.z0 == 1.0 and elapsed < 0.005, (s, cls, elapsed)
+        a, hinf = de.verdict(s, "A"), de.verdict(s, "Hinf")
+        assert (a.mean_ergodic, a.uniformly_mean_ergodic) == ("yes", "no"), a
+        assert (hinf.mean_ergodic, hinf.uniformly_mean_ergodic) == ("no", "no"), hinf
+    _report(21, "Taylor symbols classified like their polynomials", sum(times), 0.5,
+            f"{len(taylors)} parabolic maps, baselines in "
+            f"{times[0] * 1e3:.2f} and {times[1] * 1e3:.2f} ms")

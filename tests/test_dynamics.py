@@ -69,7 +69,7 @@ def test_dw_half():
 def test_dw_tangent_iterative_polynomial():
     # the affine map as a 3-coefficient polynomial walks the iterative path
     s = de.Polynomial([0.5, 0.5, 0.0])
-    res = de.denjoy_wolff(s, tol=1e-6)
+    res = de.denjoy_wolff(s)
     assert abs(res.point - 1.0) <= 1e-5
     assert 5 <= res.iterations_used <= 40  # closed form 1 - 2^-n
     assert res.convergence_rate_estimate == pytest.approx(0.5, abs=1e-6)
@@ -97,12 +97,14 @@ def test_dw_rejects_elliptic():
         de.denjoy_wolff(de.Moebius(1, 0, 0, 1))
 
 
-def test_dw_nonconvergence_reports_last_point():
+def test_dw_nonconvergence_reports_last_point(monkeypatch):
     # (1 + z^2)/2 approaches its boundary fixed point at speed ~ 1/n, so the
     # successive steps (~1/n^2) cannot meet a 1e-14 tolerance in 50 steps
     s = de.Polynomial([0.5, 0.0, 0.5])
+    monkeypatch.setattr(dynamics, "DW_MAX_ITER", 50)
+    monkeypatch.setattr(dynamics, "DW_TOL", 1e-14)
     with pytest.raises(de.NonConvergenceError) as err:
-        de.denjoy_wolff(s, max_iter=50, tol=1e-14)
+        de.denjoy_wolff(s)
     assert err.value.last_point is not None
 
 
@@ -115,11 +117,14 @@ def test_angular_derivative_examples():
     assert de.angular_derivative(ZSQ, 1.0) == pytest.approx(2.0, abs=1e-10)
 
 
-def test_angular_derivative_taylor_radial_quotient():
+def test_angular_derivative_taylor_equals_polynomial():
+    # a Taylor symbol is its stored polynomial, so |phi'(1)| is read alike
     s = de.Taylor([0.5, 0.5, 0.0])
     assert de.angular_derivative(s, 1.0) == pytest.approx(0.5, abs=1e-8)
     hyp = de.Taylor([0.19, 0.8, 0.01])
     assert de.angular_derivative(hyp, 1.0) == pytest.approx(0.82, abs=1e-5)
+    for t in (s, hyp):
+        assert de.angular_derivative(t, 1.0) == de.angular_derivative(de.Polynomial(t.coeffs), 1.0)
 
 
 def test_angular_derivative_requires_fixed_point():
