@@ -242,10 +242,10 @@ def monomial_mean(lam: complex, j: int, n: int) -> MonomialMean:
     """(1/n) sum_{m<=n} lam^{j m}, with the exact sup norm of the
     corresponding monomial mean and the 2/(n |1 - lam^j|) bound.
 
-    The closed-form norm |mu - mu^{n+1}| / (n |1 - mu|) shares the iterated
-    power with the direct sum, so the two agree to roundoff (asserted at
-    1e-12).  When lam^j is numerically one, the mean is identically one and
-    the periodic branch is taken instead.
+    The mean is the geometric sum mu (1 - mu^n) / (n (1 - mu)), mu = lam^j,
+    and its norm |mu - mu^{n+1}| / (n |1 - mu|); the tests hold both to the
+    direct sum within 1e-12.  When lam^j is numerically one, the mean is
+    identically one and the periodic branch is taken instead.
     """
     lam = complex(lam)
     if j < 1:
@@ -257,20 +257,11 @@ def monomial_mean(lam: complex, j: int, n: int) -> MonomialMean:
     mu = lam ** j
     if abs(mu - 1.0) <= 1e-14:
         return MonomialMean(1.0 + 0.0j, 1.0, math.inf, True)
-    total = 0.0 + 0.0j
-    power = 1.0 + 0.0j
-    for _ in range(n):
-        power *= mu
-        total += power
-    value = total / n
+    numer = mu - mu ** n * mu
+    value = numer / (n * (1.0 - mu))
     denom = n * abs(1.0 - mu)
-    sup_exact = abs(mu - power * mu) / denom
+    sup_exact = abs(numer) / denom
     sup_bound = 2.0 / denom
-    if abs(abs(value) - sup_exact) > 1e-12:
-        raise ArithmeticError(
-            f"direct mean modulus {abs(value)!r} disagrees with the closed "
-            f"form {sup_exact!r}"
-        )
     if abs(value) > sup_bound + 1e-12:
         raise ArithmeticError("mean modulus exceeds the 2/(n|1-lam^j|) bound")
     return MonomialMean(value, sup_exact, sup_bound, False)

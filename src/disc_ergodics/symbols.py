@@ -634,10 +634,16 @@ class _ClosedForm:
                        and self.log_r == 0.0 and self.kappa_m1 != 0 else None)
 
     def powers(self, m: np.ndarray):
-        """kappa^m and kappa^m - 1 for integers m >= 1."""
+        """kappa^m and kappa^m - 1 for integers m >= 1.
+
+        With turns a/k and more than k values of m, the unit part is formed
+        for m = 0 ... k-1 only and read at m mod k, bit for bit the same;
+        then |kappa| = 1 needs no exp at all.
+        """
+        one_period = isinstance(self.turns, Fraction) and self.turns.denominator < len(m)
         if isinstance(self.turns, Fraction):
             num, den = self.turns.numerator, self.turns.denominator
-            t = (m % den * num % den) / den
+            t = ((np.arange(den) if one_period else m) % den * num % den) / den
         else:  # m * turns mod 1 to 1e-16 for m < 2**27: m * high is exact
             head, tail = self.turns
             high = 134217729.0 * head - (134217729.0 * head - head)
@@ -649,6 +655,10 @@ class _ClosedForm:
         unit = np.array([1.0, 1j, -1.0, -1j])[quarter] * np.exp(1j * f)
         unit_m1 = np.where(quarter == 0, 1j * np.sin(f) - 2.0 * np.sin(0.5 * f) ** 2,
                            unit - 1.0)
+        if one_period:
+            unit, unit_m1 = unit[m % den], unit_m1[m % den]
+            if self.log_r == 0.0:
+                return unit, unit_m1
         return np.exp(m * self.log_r) * unit, np.expm1(m * self.log_r) * unit + unit_m1
 
     def iterates(self, seeds: np.ndarray, m: np.ndarray) -> np.ndarray:

@@ -409,3 +409,36 @@ def test_criterion_21_taylor_symbols_classified_like_their_polynomials():
     _report(21, "Taylor symbols classified like their polynomials", sum(times), 0.5,
             f"{len(taylors)} parabolic maps, baselines in "
             f"{times[0] * 1e3:.2f} and {times[1] * 1e3:.2f} ms")
+
+
+def test_criterion_22_closed_forms_at_the_cost_of_their_period():
+    # the monomial_mean sweep of the benchmark's orbit_traces: 15 closed forms
+    lam = cmath.exp(2j * math.pi * SQRT2M1)
+    t0 = time.perf_counter()
+    sweep = [de.monomial_mean(lam, j, n) for j in range(1, 6) for n in (10**2, 10**3, 10**4)]
+    elapsed = time.perf_counter() - t0
+    assert not any(res.periodic for res in sweep)
+    # kappa^m of parab (kappa = 1, turns 0/1) on 10^5 single-seed rows, in
+    # blocks as orbit_blocks asks for them: read from one period, against
+    # the per-m path, which m of shape (1, rows) takes since it holds one
+    # value along its first axis, not more than the period
+    form = de.symbols._closed_form(de.gallery_symbol("parab"))
+    rows = de.symbols.BLOCK_POINTS
+    blocks = [np.arange(m0 + 1, min(m0 + rows, 10**5) + 1) for m0 in range(0, 10**5, rows)]
+    period = [form.powers(m) for m in blocks]
+    per_m = [tuple(part[0] for part in form.powers(m[None])) for m in blocks]
+    for got, want in zip(period, per_m):
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+    times = []
+    for shape in (lambda m: m, lambda m: m[None]):
+        best = math.inf
+        for _ in range(5):
+            t1 = time.perf_counter()
+            for m in blocks:
+                form.powers(shape(m))
+            best = min(best, time.perf_counter() - t1)
+        times.append(best)
+    assert times[1] >= 3.0 * times[0], times
+    _report(22, "closed forms at the cost of their period", elapsed, 5e-4,
+            f"15 monomial means in {elapsed * 1e6:.0f} us; kappa^m of 10^5 rows "
+            f"in {times[0] * 1e3:.2f} ms from one period, {times[1] * 1e3:.2f} ms per m")

@@ -162,6 +162,35 @@ def test_monomial_mean_consistency_across_orders():
             assert abs(res.value) <= res.sup_norm_bound + 1e-15
 
 
+def _direct_monomial_mean(lam, j, n):
+    # the mean summed power by power, and the norm from the same last power
+    mu = complex(lam) ** j
+    total, power = 0.0j, 1.0 + 0.0j
+    for _ in range(n):
+        power *= mu
+        total += power
+    return total / n, abs(mu - power * mu) / (n * abs(1.0 - mu))
+
+
+def test_monomial_mean_matches_the_direct_sum():
+    # criterion 02's grid, then 200 random unimodular lam, each with a
+    # random j <= 5 and n <= 10^4
+    rng = np.random.default_rng(202)
+    lam = cmath.exp(2j * math.pi * (math.sqrt(2.0) - 1.0))
+    cases = [(lam, j, n) for j in range(1, 6) for n in (10**2, 10**3, 10**4)]
+    cases += [(cmath.exp(2j * math.pi * rng.random()), int(rng.integers(1, 6)),
+               int(rng.integers(1, 10**4 + 1))) for _ in range(200)]
+    worst = 0.0
+    for lam, j, n in cases:
+        res = de.monomial_mean(lam, j, n)
+        value, norm = _direct_monomial_mean(lam, j, n)
+        assert not res.periodic
+        gap = max(abs(res.value - value), abs(res.sup_norm_exact - norm))
+        assert gap <= 1e-12, (lam, j, n, gap)
+        worst = max(worst, gap)
+    print(f"monomial_mean: largest deviation from the direct sum {worst:.2e}")
+
+
 # ---------------------------------------------------------------------------
 # densities
 

@@ -9,7 +9,7 @@ import pytest
 
 import disc_ergodics as de
 from disc_ergodics import symbols
-from disc_ergodics.symbols import _as_moebius, _closed_form, orbit_blocks
+from disc_ergodics.symbols import _as_moebius, _bits, _closed_form, orbit_blocks
 from invariants import (
     GRID_25,
     SIGNED_ZEROS,
@@ -311,6 +311,43 @@ def test_rotation_snap_compares_the_turn_exactly():
     assert not isinstance(form.turns, Fraction) and form.period is None
     assert 1e-16 < exact_distance(a, Fraction(1, 3))[0] < 1.01e-16
     assert form.log_r == 0.0 and abs(form.turns[0] - Fraction(1, 3)) <= 1e-16
+
+
+def test_powers_from_one_period_match_the_per_m_path():
+    # turns a/k with more than k values of m read kappa^m from one period; a
+    # block of at most k values is computed value by value, so k-row chunks
+    # of the same m are the reference
+    def per_m(form, m, k):
+        chunks = [form.powers(m[i:i + k]) for i in range(0, len(m), k)]
+        return tuple(np.concatenate(part) for part in zip(*chunks))
+
+    shapes = [de.gallery_symbol(name) for name in ("parab", "hyperbolic", "tangent", "z_half")]
+    for k in range(2, 9):
+        for a in (1, k - 1):
+            kappa = cmath.exp(2j * math.pi * a / k)
+            shapes += [de.Moebius(kappa, 0, 0, 1), de.Moebius(0.9 * kappa, 0, 0, 1)]
+    shapes.append(de.make_automorphism("elliptic", angle=2 * math.pi * 3 / 7,
+                                       fixed_point=0.3 + 0.4j))
+    # k = 9,973 <= PERIOD_SEARCH_MAX: a block of 8,192 rows is shorter than
+    # the period, one of 12,000 longer
+    far = [de.Moebius(cmath.exp(2j * math.pi / 9973), 0, 0, 1),
+           de.Moebius(0.9 * cmath.exp(2j * math.pi / 9973), 0, 0, 1)]
+    cases = [(s, 600) for s in shapes] + [(s, rows) for s in far for rows in (8192, 12000)]
+    denominators = set()
+    for s, rows in cases:
+        form = _closed_form(s)
+        k = form.turns.denominator
+        denominators.add(k)
+        for start in (0, 10**6 + 17):
+            m = np.arange(start + 1, start + rows + 1)
+            got, want = form.powers(m), per_m(form, m, k)
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want)), (s, rows, start)
+        # the call that sets kappa_m1 takes the per-m path; m = 1 at the
+        # head of a block longer than k is read from the period
+        one = form.powers(np.ones(1, dtype=np.int64))[1][0]
+        assert _bits(one) == _bits(form.kappa_m1) == _bits(form.powers(m - start)[1][0]), s
+    assert denominators == set(range(1, 9)) | {9973}
+    assert _closed_form(de.gallery_symbol("parab")).kappa_m1 == 0.0
 
 
 def test_stepped_orbit_leaving_the_disc_raises():
