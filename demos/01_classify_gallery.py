@@ -34,11 +34,13 @@ for p, mult in de.moebius_fixed_points(hyp):
     print(f"  z = {p:+.3g}   |phi'| = {deriv:.4g}   ({side}, multiplicity {mult})")
 
 print()
-print("Image of the unit circle under each non-automorphism Moebius map:")
+print("Where each non-automorphism Moebius map sends the closed disc, read from")
+print("the evidence of its verdict on the disc algebra:")
 for name in ("z_half", "tangent"):
-    circle = de.moebius_image_circle(de.gallery_symbol(name))
-    gap = abs((1.0 - abs(circle.center)) - circle.radius)
-    where = "tangent to the circle at the attractor" if gap <= 1e-8 \
-        else "strictly inside the disc"
-    print(f"  {name:8s} -> center {circle.center:.3g}, radius {circle.radius:.3g},"
-          f" {where}")
+    evidence = dict(de.verdict(de.gallery_symbol(name), "A").evidence)
+    if "image_radius_bound" in evidence:
+        where = f"strictly inside the disc: |phi| <= {evidence['image_radius_bound']:.3g}"
+    else:
+        where = (f"tangent to the circle at the attractor {evidence['z0']:.3g}: "
+                 f"tangency gap {evidence['tangency_gap']:.3g}")
+    print(f"  {name:8s} -> {where}")

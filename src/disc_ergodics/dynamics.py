@@ -26,13 +26,11 @@ from .symbols import (
     Moebius,
     Polynomial,
     Symbol,
-    Taylor,
     _as_moebius,
     _image_radius_bound,
     _is_inner,
     _moebius_normal_form,
     disc_grid,
-    moebius_image_circle,
     orbit_blocks,
     rotation_fraction,
 )
@@ -509,7 +507,7 @@ def _boundary_fixed_points(s: Symbol) -> list[BoundaryPeriodicPoint]:
     from the zeros r of phi(z) - z, or of e^{i theta} prod (z - a_k) -
     z prod (1 - conj(a_k) z) for a Blaschke product, projected to e^{i arg r}.
     Other kinds, and equations above FIXED_POINT_DEGREE_CAP, give []."""
-    if isinstance(s, (Polynomial, Taylor)):  # coefficients in descending order
+    if isinstance(s, Polynomial):  # coefficients in descending order
         c = np.polysub(s.coeffs[::-1], [1.0, 0.0])
     elif isinstance(s, Blaschke):
         c = np.polysub(cmath.exp(1j * s.rotation) * np.poly(s.zeros),

@@ -18,8 +18,8 @@ import mpmath as mp
 import numpy as np
 
 from . import dynamics
-from .symbols import (Orbit, Polynomial, Symbol, Taylor, _closed_form, _horner,
-                      _image_radius_bound, _is_inner, boundary_points, orbit_blocks)
+from .symbols import (Orbit, Polynomial, Symbol, _closed_form, _horner, _image_radius_bound,
+                      _is_inner, _moebius_image_circle, boundary_points, orbit_blocks)
 from .weighted import VAlpha
 
 # Decision-rule tags carried by verdicts.  Stable identifiers: downstream
@@ -184,11 +184,7 @@ def cesaro_apply(s: Symbol, f: TestFunction, z: complex, n: int) -> CesaroTrace:
     Power boundedness is asserted on the way out: no partial mean may exceed
     ``f.boundary_sup()``, an upper bound on |f|.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     z = complex(z)
-    if abs(z) > 1.0 + 1e-9:
-        raise ValueError("z must lie in the closed disc")
     orbit = np.concatenate([block[:, 0] for _, block in orbit_blocks(s, [z], n)])
     means = _divide(np.cumsum(np.asarray(f(orbit), dtype=complex)), np.arange(1, n + 1))
     sup = f.boundary_sup()
@@ -202,8 +198,6 @@ def cesaro_apply(s: Symbol, f: TestFunction, z: complex, n: int) -> CesaroTrace:
 
 def cesaro_final_means(s: Symbol, f: TestFunction, seeds, n: int) -> np.ndarray:
     """Final Cesaro mean at step n for an array of seeds, in one sweep."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     seeds = np.asarray(seeds, dtype=complex)
     total = np.zeros(seeds.size, dtype=complex)
     for _, block in orbit_blocks(s, seeds, n):
@@ -410,9 +404,10 @@ def _visits(s: Symbol, seeds, z0: complex, radii, n: int, delta: float | None = 
     There is no delta, and every step is taken, for other symbols and when
     delta itself is not next to z0 in this sense.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     radii = np.asarray(radii, dtype=float)[:, None, None]
+    bad = radii[~((radii > 0.0) & (radii < math.inf))]
+    if bad.size:
+        raise ValueError(f"radius must be finite and positive, got {bad[0]:g}")
     r_min = float(radii.min())
     tests = [] if delta is None else [lambda w, dist: _absorbed(w, dist, delta, r_min)]
     exact = _lft_absorption(s, complex(z0), r_min)
@@ -449,7 +444,7 @@ def _visits(s: Symbol, seeds, z0: complex, radii, n: int, delta: float | None = 
 def _attractor_error_bound(s: Symbol, cls) -> float | None:
     """delta for ``_visits`` at a classified boundary attracting point, or
     None; the derivation is in ``_visits``."""
-    if not isinstance(s, (Polynomial, Taylor)):
+    if not isinstance(s, Polynomial):
         return None
     with mp.workdps(40):
         z0 = mp.mpc(complex(cls.z0))
@@ -478,8 +473,6 @@ def orbit_density(s: Symbol, z: complex, z0: complex, radius: float,
     symbol the orbit stops once it is certified to stay in the ball
     (``_lft_absorption``), with the counts that stepping on would give.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
     z = complex(z)
     hits, min_ratio, _ = _visits(s, [z], complex(z0), [float(radius)], n)
     return DensityEstimate(z, radius, n, int(hits[0, 0]), float(min_ratio[0, 0]),
@@ -816,9 +809,8 @@ def _boundary_verdict(s: Symbol, space: str, cls, density_n: int) -> ErgodicityV
         # Prop 3.9: mean ergodic unless a hyperbolic automorphism
         evidence.append(("image_is_unit_circle", inner))
         if not inner:
-            circle = dynamics.moebius_image_circle(mo)
-            evidence.append(("tangency_gap",
-                             abs((1.0 - abs(circle.center)) - circle.radius)))
+            center, radius = _moebius_image_circle(mo)
+            evidence.append(("tangency_gap", abs((1.0 - abs(center)) - radius)))
         elif not parabolic:
             evidence.append(("repelling_fixed_point", "present (hyperbolic automorphism)"))
         return ErgodicityVerdict(space, NO if inner and not parabolic else YES, NO,

@@ -1,10 +1,11 @@
 """Analytic self-maps of the closed unit disc.
 
 A symbol is a holomorphic map of the closed disc into itself, given in one of
-four concrete forms: a Moebius map (az+b)/(cz+d), a finite Blaschke product,
-a polynomial, or a truncated Taylor series with absolutely summable
-coefficients.  Every symbol validates itself at construction; evaluation,
-differentiation and iteration accept plain complex scalars or numpy arrays.
+three concrete forms: a Moebius map (az+b)/(cz+d), a finite Blaschke product,
+or a polynomial.  A truncated Taylor series is the polynomial it stores, with
+a coefficient budget.  Every symbol validates itself at construction;
+evaluation, differentiation and iteration accept plain complex scalars or
+numpy arrays.
 """
 
 from __future__ import annotations
@@ -299,8 +300,12 @@ class Polynomial(Symbol):
         if not cs:
             raise SymbolError("empty coefficient list")
         object.__setattr__(self, "coeffs", cs)
+        self._check_document()
         self._reject_boundary_constant()
         self._validate_self_map()
+
+    def _check_document(self):
+        """What a subclass checks of its document, before the self-map checks."""
 
     @property
     def degree(self) -> int:
@@ -314,60 +319,53 @@ class Polynomial(Symbol):
         return lambda z: _horner(quotient, z)
 
     def to_dict(self) -> dict:
-        return {"kind": "polynomial", "coeffs": [_complex_out(c) for c in self.coeffs]}
+        return {"kind": self.kind, "coeffs": [_complex_out(c) for c in self.coeffs]}
 
 
 @dataclass(frozen=True)
-class Taylor(Symbol):
+class Taylor(Polynomial):
     """A power series given by its first coefficients, at most ``truncation``.
 
-    The symbol is its stored polynomial sum c_k z^k: it is evaluated,
-    differentiated and classified as the ``Polynomial`` with the same
-    coefficients.  ``abs_sum_bound``, when supplied, is a validation only:
-    construction fails if sum |c_k| of the stored coefficients exceeds it.
+    The symbol is the ``Polynomial`` sum c_k z^k of its stored coefficients;
+    it adds only the document's coefficient budget.  ``abs_sum_bound``, when
+    supplied, is a validation only: construction fails if sum |c_k| of the
+    stored coefficients exceeds it.
     """
 
-    coeffs: tuple
     truncation: int = TAYLOR_TRUNCATION_DEFAULT
     abs_sum_bound: float | None = None
 
     kind = "taylor"
 
     def __init__(self, coeffs, truncation=TAYLOR_TRUNCATION_DEFAULT, abs_sum_bound=None):
-        cs = tuple(_require_finite(c, "coeffs[%d]" % i) for i, c in enumerate(coeffs))
-        if not cs:
-            raise SymbolError("empty coefficient list")
-        if len(cs) > truncation:
-            raise SymbolError(
-                f"{len(cs)} coefficients exceed the truncation budget {truncation}"
-            )
-        abs_sum = float(sum(abs(c) for c in cs))
-        if not math.isfinite(abs_sum):
-            raise SymbolError("absolute coefficient sum is not finite")
-        if abs_sum_bound is not None and abs_sum > float(abs_sum_bound) + 1e-12:
-            raise SymbolError(
-                f"absolute coefficient sum {abs_sum:.6g} exceeds the certified "
-                f"bound {float(abs_sum_bound):.6g}"
-            )
-        object.__setattr__(self, "coeffs", cs)
         object.__setattr__(self, "truncation", int(truncation))
         object.__setattr__(self, "abs_sum_bound", None if abs_sum_bound is None else float(abs_sum_bound))
-        self._reject_boundary_constant()
-        self._validate_self_map()
+        super().__init__(coeffs)
 
-    def __call__(self, z):
-        return _horner(self.coeffs, z)
+    # The polynomial's own evaluator, bound here as well: an evaluation
+    # counter that wraps each class's __call__ finds it in vars(Taylor).
+    __call__ = Polynomial.__call__
 
-    def _divided_difference(self, zeta):
-        quotient = _synthetic_division(self.coeffs, zeta)
-        return lambda z: _horner(quotient, z)
+    def _check_document(self):
+        if len(self.coeffs) > self.truncation:
+            raise SymbolError(
+                f"{len(self.coeffs)} coefficients exceed the truncation budget {self.truncation}"
+            )
+        abs_sum = float(sum(abs(c) for c in self.coeffs))
+        if not math.isfinite(abs_sum):
+            raise SymbolError("absolute coefficient sum is not finite")
+        if self.abs_sum_bound is None:
+            return
+        if not math.isfinite(self.abs_sum_bound):
+            raise SymbolError(f"abs_sum_bound must be finite, got {self.abs_sum_bound!r}")
+        if abs_sum > self.abs_sum_bound + 1e-12:
+            raise SymbolError(
+                f"absolute coefficient sum {abs_sum:.6g} exceeds the certified "
+                f"bound {self.abs_sum_bound:.6g}"
+            )
 
     def to_dict(self) -> dict:
-        doc = {
-            "kind": "taylor",
-            "coeffs": [_complex_out(c) for c in self.coeffs],
-            "truncation": self.truncation,
-        }
+        doc = {**super().to_dict(), "truncation": self.truncation}
         if self.abs_sum_bound is not None:
             doc["abs_sum_bound"] = self.abs_sum_bound
         return doc
@@ -406,47 +404,33 @@ def self_map_check(s: Symbol) -> SelfMapReport:
     return SelfMapReport(max_mod, complex(grid[idx]), max_mod <= 1.0 + SELF_MAP_TOL)
 
 
-@dataclass(frozen=True)
-class ImageCircle:
-    center: complex
-    radius: float
-    is_unit_circle: bool
-
-
-def moebius_image_circle(m: Moebius) -> ImageCircle:
-    """Image of the unit circle under a Moebius map, in closed form.
+def _moebius_image_circle(m: Moebius) -> tuple[complex, float]:
+    """Center and radius of the image of the unit circle under a Moebius map.
 
     The pole lies off the closed disc (|d| > |c|), so the circle goes to the
     circle with center (b conj(d) - a conj(c)) / (|d|^2 - |c|^2) and radius
-    |ad - bc| / (|d|^2 - |c|^2) (Cowen-MacCluer 1995, ch. 2).  When
-    |center| <= radius, which holds for every map near the unit circle,
-    |center| + |radius - 1| is exactly the maximum of ||phi| - 1| on the
-    circle; the image is reported as the unit circle itself when that sum is
-    at most 1e-10.
+    |ad - bc| / (|d|^2 - |c|^2) (Cowen-MacCluer 1995, ch. 2), both in closed
+    form: a radius of 1e-7 comes out as 1e-7 itself.
     """
     scale = abs(m.d) ** 2 - abs(m.c) ** 2
-    center = (m.b * m.d.conjugate() - m.a * m.c.conjugate()) / scale
-    radius = abs(m.det) / scale
-    if abs(center) + abs(radius - 1.0) <= 1e-10:
-        return ImageCircle(0.0, 1.0, True)
-    return ImageCircle(center, radius, False)
+    return (m.b * m.d.conjugate() - m.a * m.c.conjugate()) / scale, abs(m.det) / scale
 
 
 def _image_radius_bound(s: Symbol) -> float:
     """A radius R with |phi| <= R on the closed disc (infinite when unknown).
 
-    Exact for Moebius maps, |center| + radius of ``moebius_image_circle``
-    (1 when that is the unit circle), and for Blaschke products, which are
+    Exact for Moebius maps, |center| + radius of the image circle
+    (``_moebius_image_circle``), and for Blaschke products, which are
     unimodular on the circle: 1.  The triangle inequality, sum |c_k|, for
-    polynomial and Taylor symbols.
+    polynomial symbols, Taylor symbols included.
     """
-    if isinstance(s, (Polynomial, Taylor)):
+    if isinstance(s, Polynomial):
         return float(sum(abs(c) for c in s.coeffs))
     if isinstance(s, Blaschke):
         return 1.0
     if isinstance(s, Moebius):
-        circle = moebius_image_circle(s)
-        return abs(circle.center) + circle.radius
+        center, radius = _moebius_image_circle(s)
+        return abs(center) + radius
     return math.inf
 
 
@@ -457,8 +441,8 @@ def _is_inner(s: Symbol) -> bool:
     conj(a) b = conj(c) d and |a|^2 + |b|^2 = |c|^2 + |d|^2, to
     AUTOMORPHISM_TOL relative to their sum of squares (Cowen-MacCluer 1995,
     ch. 0 and 2), a scale that does not cancel near the circle as the
-    |d|^2 - |c|^2 of ``moebius_image_circle`` does.  A polynomial or Taylor
-    symbol does when sum_{j != k} |c_j| + ||c_k| - 1| <= SELF_MAP_TOL, c_k
+    |d|^2 - |c|^2 of ``_moebius_image_circle`` does.  A polynomial symbol
+    does when sum_{j != k} |c_j| + ||c_k| - 1| <= SELF_MAP_TOL, c_k
     its largest coefficient: that sum bounds ||phi| - 1| on the circle.
     """
     if isinstance(s, Blaschke):
@@ -469,7 +453,7 @@ def _is_inner(s: Symbol) -> bool:
         defect = abs(a.conjugate() * b - c.conjugate() * d) + abs(
             abs(a) ** 2 + abs(b) ** 2 - abs(c) ** 2 - abs(d) ** 2)
         return defect <= AUTOMORPHISM_TOL * (abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2)
-    if isinstance(s, (Polynomial, Taylor)):
+    if isinstance(s, Polynomial):
         moduli = [abs(c) for c in s.coeffs]
         top = max(moduli)
         return sum(moduli) - top + abs(top - 1.0) <= SELF_MAP_TOL
@@ -489,7 +473,7 @@ def _rounding_condition(s: Symbol) -> float:
     Moebius map (|a| + |b| + |c| + |d|)/(|d| - |c|), which also bounds the
     cancellation in the |d|^2 - |c|^2 of R.
     """
-    if isinstance(s, (Polynomial, Taylor)):
+    if isinstance(s, Polynomial):
         return 8.0 * len(s.coeffs)
     if isinstance(s, Blaschke):
         return sum(8.0 / (1.0 - abs(a)) for a in s.zeros)
@@ -551,7 +535,7 @@ def _as_moebius(s: Symbol) -> Moebius | None:
             rot = cmath.exp(1j * s.rotation)
             a = s.zeros[0]
             form = Moebius._unchecked(rot, -rot * a, -a.conjugate(), 1.0)
-        elif isinstance(s, (Polynomial, Taylor)):
+        elif isinstance(s, Polynomial):
             cs = list(s.coeffs)
             while cs and abs(cs[-1]) == 0.0:
                 cs.pop()
@@ -709,9 +693,16 @@ def orbit_blocks(s: Symbol, seeds, n: int):
     the block.  With one row per block only the row before is compared, so
     no key of the grid is hashed.  A stepped orbit that leaves the closed
     disc (a point not finite, or of modulus above 1 + SELF_MAP_TOL) raises
-    SymbolError naming the step.
+    SymbolError naming the step; so does a seed, before any step, naming
+    the seed.  n < 1 raises ValueError.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     seeds = np.asarray(seeds, dtype=complex).ravel()
+    outside = ~(np.abs(seeds) <= 1.0 + SELF_MAP_TOL)
+    if outside.any():
+        raise SymbolError(f"seed {complex(seeds[np.argmax(outside)])!r} is not a point "
+                          "of the closed disc")
     rows = max(1, BLOCK_POINTS // max(1, len(seeds)))
     form = _closed_form(s) if rows > 1 else None
     one = len(seeds) == 1
@@ -758,11 +749,7 @@ def orbit_blocks(s: Symbol, seeds, n: int):
 
 def iterate(s: Symbol, z: complex, n: int) -> Orbit:
     """Orbit of z under s for n steps; raises if the orbit leaves the disc."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    z = _require_finite(z, "z")
-    if abs(z) > 1.0 + SELF_MAP_TOL:
-        raise SymbolError(f"start point {z!r} is outside the closed disc")
+    z = complex(z)
     return Orbit(z, np.concatenate([block[:, 0] for _, block in orbit_blocks(s, [z], n)]))
 
 

@@ -305,7 +305,8 @@ def check_orbit_closed_form(cases: int = 100) -> int:
     ``orbit_blocks`` runs the first 7 steps against the symbol's own
     evaluator; at n = 10^3 and 2 10^4 the closed form is taken directly and
     the reference steps the Moebius coefficients of all cases together, in
-    one array.
+    one array.  A fixed point outside the closed disc is no seed of
+    ``orbit_blocks``, which refuses it; the closed form still returns it.
     """
     rng = np.random.default_rng(SEED + 6)
     coeffs, seeds, closed = [], [], []
@@ -319,8 +320,18 @@ def check_orbit_closed_form(cases: int = 100) -> int:
                 w = s(w)
                 assert np.all(np.abs(row - w) <= 1e-12 + n * 1e-15), (s, n)
         fixed = np.array(_exact_fixed_points(*abcd))
-        for _, block in de.symbols.orbit_blocks(s, fixed, 50):
-            assert np.array_equal(block, np.broadcast_to(fixed, block.shape)), (s, fixed)
+        inside = np.abs(fixed) <= 1.0 + de.symbols.SELF_MAP_TOL
+        for _, block in de.symbols.orbit_blocks(s, fixed[inside], 50):
+            assert np.array_equal(block, np.broadcast_to(fixed[inside], block.shape)), (s, fixed)
+        block = de.symbols._closed_form(s).iterates(fixed, np.arange(1, 51))
+        assert np.array_equal(block, np.broadcast_to(fixed, block.shape)), (s, fixed)
+        if not inside.all():
+            try:
+                next(de.symbols.orbit_blocks(s, fixed, 50))
+            except de.SymbolError:
+                pass
+            else:
+                raise AssertionError(f"{s}: seeded outside the disc at {fixed}")
         closed.append(de.symbols._closed_form(s).iterates(z, np.array([10**3, 2 * 10**4])))
         coeffs.append(np.broadcast_to(np.array(abcd, dtype=complex)[:, None], (4, len(z))))
         seeds.append(z)

@@ -264,6 +264,32 @@ def test_density_without_a_seed_exits_one(tmp_path, capsys):
     assert not (tmp_path / "density.csv").exists()
 
 
+
+@pytest.mark.parametrize("argv, message", [
+    (["density", "--radius", "0"], "radius must be finite and positive, got 0"),
+    (["density", "--radius", "-0.5"], "radius must be finite and positive, got -0.5"),
+    (["density", "--radius", "nan"], "radius must be finite and positive, got nan"),
+    (["density", "--radius", "inf"], "radius must be finite and positive, got inf"),
+    (["cesaro", "--z", "nan"], "seed (nan+0j) is not a point of the closed disc"),
+    (["cesaro", "--z", "1.5"], "seed (1.5+0j) is not a point of the closed disc"),
+    (["weyl", "--z", "0,nan"], "seed nanj is not a point of the closed disc"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+def test_invalid_radii_and_seeds_exit_one(tmp_path, capsys, argv, message):
+    sym = _write_gallery(tmp_path, "tangent")
+    assert cli.main(argv[:1] + ["--symbol", sym, "--N", "100", "--out", str(tmp_path)]
+                    + argv[1:]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not [p.name for p in tmp_path.iterdir() if p.suffix == ".csv"]
+
+
+def test_nan_abs_sum_bound_exits_one(tmp_path, capsys):
+    # Python's json reads NaN; the document is refused, never written back
+    sym = tmp_path / "taylor.json"
+    sym.write_text('{"kind": "taylor", "coeffs": [0.2, 0.3], "abs_sum_bound": NaN}')
+    assert cli.main(["classify", "--symbol", str(sym), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (f"error: invalid symbol in {sym}: taylor: "
+                                       "abs_sum_bound must be finite, got nan\n")
+
 _SPECIAL_DOUBLES = [-0.0, 5e-324, 2.2250738585072014e-308, 1.0 - 2.0**-53,
                     1e300, float("inf"), float("nan"), -float("inf")]
 

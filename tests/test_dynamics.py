@@ -274,10 +274,19 @@ def _reference_dw(m):
     raise AssertionError("no attracting fixed point on the closed disc")
 
 
+def _reference_image_circle(m):
+    # center and radius of the image of the unit circle under a Moebius map,
+    # in closed form (Cowen-MacCluer 1995, ch. 2)
+    scale = abs(m.d) ** 2 - abs(m.c) ** 2
+    return (m.b * m.d.conjugate() - m.a * m.c.conjugate()) / scale, abs(m.det) / scale
+
+
 def _reference_classify(s):
-    # the two linear-fractional branches of classify
+    # the two linear-fractional branches of classify; the image circle is
+    # the unit circle when |center| + |radius - 1| <= 1e-10
     mo = _as_moebius(s)
-    if isinstance(s, de.Blaschke) or dynamics.moebius_image_circle(mo).is_unit_circle:
+    center, radius = _reference_image_circle(mo)
+    if isinstance(s, de.Blaschke) or abs(center) + abs(radius - 1.0) <= 1e-10:
         if ((mo.a + mo.d) ** 2 / mo.det).real < 4.0 - 1e-9:
             p = min((p for p, _ in _reference_fixed_points(mo)), key=abs)
             lam = complex(mo.derivative(p))
@@ -655,49 +664,61 @@ def test_local_contraction_parabolic_fails():
 
 
 def test_image_circle_half():
-    circle = de.moebius_image_circle(HALF)
-    assert not circle.is_unit_circle
-    assert abs(circle.center) <= 1e-14
-    assert circle.radius == pytest.approx(0.5, abs=1e-14)
+    center, radius = _reference_image_circle(HALF)
+    assert abs(center) <= 1e-14 and radius == pytest.approx(0.5, abs=1e-14)
+    assert symbols._image_radius_bound(HALF) == abs(center) + radius
 
 
 def test_image_circle_automorphism():
-    assert de.moebius_image_circle(HYPERBOLIC).is_unit_circle
-    assert de.moebius_image_circle(PARABOLIC).is_unit_circle
+    # an automorphism maps the circle onto itself: R = 1 up to rounding
+    for s in (HYPERBOLIC, PARABOLIC):
+        center, radius = _reference_image_circle(s)
+        bound = symbols._image_radius_bound(s)
+        assert bound == abs(center) + radius
+        assert abs(bound - 1.0) <= 1e-15, s
 
 
 def test_image_circle_tangent():
-    circle = de.moebius_image_circle(TANGENT)
-    assert circle.center == pytest.approx(0.5, abs=1e-12)
-    assert circle.radius == pytest.approx(0.5, abs=1e-12)
-    # internally tangent to the unit circle at 1
-    assert abs((1.0 - abs(circle.center)) - circle.radius) <= 1e-8
+    center, radius = _reference_image_circle(TANGENT)
+    assert center == pytest.approx(0.5, abs=1e-12)
+    assert radius == pytest.approx(0.5, abs=1e-12)
+    # internally tangent to the unit circle at 1: R = |center| + radius = 1
+    assert symbols._image_radius_bound(TANGENT) == pytest.approx(1.0, abs=1e-12)
+    assert dict(de.verdict(TANGENT, "A").evidence)["tangency_gap"] <= 1e-12
 
 
 def test_image_circle_small_radius_is_exact():
     # the closed form gives |ad - bc| / (|d|^2 - |c|^2) = 1e-7 itself; a
     # circle fitted through three image points was off by 8e-4 relative
-    circle = de.moebius_image_circle(de.Moebius(1e-7, 0.5, 0, 1))
-    assert not circle.is_unit_circle
-    assert circle.center == 0.5
-    assert circle.radius == pytest.approx(1e-7, rel=1e-15)
+    s = de.Moebius(1e-7, 0.5, 0, 1)
+    center, radius = symbols._moebius_image_circle(s)
+    assert center == 0.5
+    assert radius == pytest.approx(1e-7, rel=1e-15)
+    assert symbols._image_radius_bound(s) == 0.5 + radius
 
 
 def test_image_circle_unit_test_matches_boundary_oracle():
-    # Near-automorphisms phi = auto((1 - eps) z): the image is reported as the
-    # unit circle exactly when max ||phi| - 1| on the circle is <= 1e-10,
-    # judged on 4096 boundary points; cases within a factor 2 of the margin
-    # are skipped.
+    # Near-automorphisms phi = auto((1 - eps) z): R is the maximum of |phi|
+    # on 4096 boundary points up to rounding.  Where max ||phi| - 1| is
+    # <= 1e-10 there, R lies within 1e-10 of 1: not below 1 - 1e-10 and at
+    # most 1 + SELF_MAP_TOL/2, the sides of the image-radius certificate
+    # and of validation that R = 1 is on.  Cases within a factor 2 of the
+    # margin are skipped.
     rng = np.random.default_rng(7)
     pts = boundary_points(4096)
     decided = {True: 0, False: 0}
     for _ in range(400):
         eps = 10.0 ** rng.uniform(-13.0, -8.0)
         s = de.moebius_product(random_automorphism(rng), de.Moebius(1.0 - eps, 0, 0, 1))
-        deviation = float(np.max(np.abs(np.abs(s(pts)) - 1.0)))
+        moduli = np.abs(s(pts))
+        bound = symbols._image_radius_bound(s)
+        rounding = symbols._rounding_condition(s) * symbols.UNIT_ROUNDOFF
+        assert abs(bound - float(np.max(moduli))) <= rounding, s
+        deviation = float(np.max(np.abs(moduli - 1.0)))
         if 0.5e-10 <= deviation <= 2e-10:
             continue
-        assert de.moebius_image_circle(s).is_unit_circle == (deviation <= 1e-10), (s, deviation)
+        if deviation <= 1e-10:
+            assert 1.0 - 1e-10 <= bound <= 1.0 + 1e-10, (s, deviation)
         decided[deviation <= 1e-10] += 1
     assert min(decided.values()) >= 100
 
@@ -739,14 +760,19 @@ def test_denjoy_wolff_consistency_across_seeds():
 
 
 def test_tangency_dichotomy():
+    # auto(r z) maps the closed disc strictly inside it, auto(r z + 1 - r)
+    # onto a disc tangent to the circle at auto(1): R = |center| + radius
+    # of the closed-form image circle, below 1 - 1e-8 or within 1e-8 of 1
     rng = np.random.default_rng(13)
     for _ in range(60):
-        auto = random_automorphism(rng)
-        scale = de.Moebius(rng.uniform(0.3, 0.95), 0, 0, 1)
-        s = de.moebius_product(auto, scale)
-        circle = de.moebius_image_circle(s)
-        if circle.is_unit_circle:
-            continue
-        tangent_gap = abs((1.0 - abs(circle.center)) - circle.radius)
-        strictly_inside = circle.radius + abs(circle.center) < 1.0 - 1e-8
-        assert tangent_gap <= 1e-8 or strictly_inside
+        auto, r = random_automorphism(rng), rng.uniform(0.3, 0.95)
+        for inner, tangent in ((de.Moebius(r, 0, 0, 1), False),
+                               (de.Moebius(r, 1.0 - r, 0, 1), True)):
+            s = de.moebius_product(auto, inner)
+            center, radius = _reference_image_circle(s)
+            bound = symbols._image_radius_bound(s)
+            assert bound == pytest.approx(abs(center) + radius, rel=1e-15), s
+            if tangent:
+                assert abs(bound - 1.0) <= 1e-8, s
+            else:
+                assert bound < 1.0 - 1e-8, s

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import disc_ergodics as de
-from invariants import (check_cesaro_power_boundedness, check_lft_density_certificate,
-                        random_automorphism)
+from invariants import (CountingSymbol, check_cesaro_power_boundedness,
+                        check_lft_density_certificate, random_automorphism)
 
 HALF = de.Moebius(1, 0, 0, 2)
 HYPERBOLIC = de.Moebius(2, 1, 1, 2)
@@ -79,12 +79,49 @@ def test_cesaro_apply_bounds_a_taylor_function_by_its_coefficients():
 
 
 def test_empty_orbits_are_rejected():
+    with pytest.raises(ValueError, match="^n must be >= 1$"):
+        de.iterate(HALF, 0.5, 0)
+    with pytest.raises(ValueError, match="^n must be >= 1$"):
+        de.cesaro_apply(HALF, de.Monomial(1), 0.5, 0)
     with pytest.raises(ValueError):
         de.cesaro_final_means(HALF, de.Monomial(1), np.array([0.5]), 0)
     with pytest.raises(ValueError):
         de.density_sweep(HALF, np.array([0.5]), 0.0, [0.1], 0)
     with pytest.raises(ValueError):
         de.orbit_density(HALF, 0.5, 0.0, 0.1, 0)
+
+
+# Each entry point that takes seeds, called on one seed z: the orbit engine
+# refuses a seed outside the closed disc before any step.
+SEEDED = {
+    "iterate": lambda s, z: de.iterate(s, z, 10),
+    "cesaro_apply": lambda s, z: de.cesaro_apply(s, de.Monomial(1), z, 10),
+    "cesaro_final_means": lambda s, z: de.cesaro_final_means(s, de.Monomial(1), [0.5, z], 10),
+    "cesaro_orbit_mean": lambda s, z: de.cesaro_orbit_mean(s, z, 10),
+}
+
+
+@pytest.mark.parametrize("z", [math.nan, complex(0.0, math.inf), 1.5, 1.0 + 2e-9],
+                         ids=["nan", "inf", "1.5", "1+2e-9"])
+@pytest.mark.parametrize("entry", sorted(SEEDED))
+def test_seeds_outside_the_disc_are_refused(entry, z):
+    for s in (HALF, de.Polynomial([0, 0.5, 0.25])):
+        counted = CountingSymbol(s)
+        with pytest.raises(de.SymbolError) as err:
+            SEEDED[entry](counted, z)
+        assert str(err.value) == f"seed {complex(z)!r} is not a point of the closed disc"
+        assert counted.calls == 0
+    # on the circle, within rounding of it, is in the disc
+    SEEDED[entry](HALF, 1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("radius", [0.0, -0.5, math.nan, math.inf])
+def test_density_radii_must_be_finite_and_positive(radius):
+    message = f"radius must be finite and positive, got {radius:g}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        de.orbit_density(TANGENT, 0.0, 1.0, radius, 100)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        de.density_sweep(TANGENT, [0.0, 0.5j], 1.0, [0.1, radius], 100)
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,24 @@
 """The documented API exists: every ``de.<name>`` in the demos and the README
 resolves on the package, and so does every function the benchmark's tracer
 wraps, so removing a name they use fails here rather than only when a demo or
-the benchmark is run."""
+the benchmark is run.  Each demo also runs to the end with nothing on
+stderr."""
 
 import importlib.util
 import inspect
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
 import disc_ergodics as de
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-DOCUMENTED = sorted(ROOT.glob("demos/*.py")) + [ROOT / "README.md"]
+DEMOS = sorted(ROOT.glob("demos/*.py"))
+DOCUMENTED = DEMOS + [ROOT / "README.md"]
 
 
 @pytest.mark.parametrize("path", DOCUMENTED, ids=lambda p: p.name)
@@ -23,6 +28,16 @@ def test_documented_names_resolve(path):
     missing = sorted(name for name in names if not hasattr(de, name))
     assert not missing, f"{path.name} uses names missing from disc_ergodics: {missing}"
 
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
+def test_demos_run_cleanly(path, tmp_path):
+    # each demo runs on its own, from the source tree, with nothing on stderr
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, str(path)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, ""), done.stderr
+    assert done.stdout
 
 def _tracing():
     spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")

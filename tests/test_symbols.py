@@ -82,6 +82,44 @@ def test_round_trip_is_bit_exact():
         assert again == s
 
 
+# One document fault each, with the message the constructor raises; through
+# parse_symbol it is a SymbolParseError at the path "taylor".
+TAYLOR_FAULTS = {
+    "truncation": (([0.1, 0.2, 0.3], 2, None), "3 coefficients exceed the truncation budget 2"),
+    "above_bound": (([0.2, 0.3], 64, 0.4),
+                    "absolute coefficient sum 0.5 exceeds the certified bound 0.4"),
+    "sum_not_finite": (([1e308, 1e308], 64, None), "absolute coefficient sum is not finite"),
+    "nan_bound": (([0.2, 0.3], 64, math.nan), "abs_sum_bound must be finite, got nan"),
+    "inf_bound": (([0.2, 0.3], 64, math.inf), "abs_sum_bound must be finite, got inf"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(TAYLOR_FAULTS))
+def test_taylor_document_checks(fault):
+    (coeffs, truncation, bound), message = TAYLOR_FAULTS[fault]
+    with pytest.raises(de.SymbolError) as err:
+        de.Taylor(coeffs, truncation, bound)
+    assert str(err.value) == message
+    doc = {"kind": "taylor", "coeffs": coeffs, "truncation": truncation}
+    if bound is not None:
+        doc["abs_sum_bound"] = bound
+    with pytest.raises(de.SymbolParseError) as err:
+        de.parse_symbol(doc)
+    assert err.value.path == "taylor" and str(err.value) == f"taylor: {message}"
+
+
+def test_taylor_is_the_polynomial_it_stores():
+    coeffs = [0.2, 0.3, -0.1j, 0.25]
+    t, p = de.Taylor(coeffs, 16, 1.0), de.Polynomial(coeffs)
+    assert isinstance(t, de.Polynomial) and t.coeffs == p.coeffs
+    assert t != p and p != t  # a document with its budget is not the bare polynomial
+    assert t.to_dict() == {"kind": "taylor", "coeffs": p.to_dict()["coeffs"],
+                           "truncation": 16, "abs_sum_bound": 1.0}
+    again = de.parse_symbol(de.symbol_to_json(t))
+    assert type(again) is de.Taylor and again == t
+    assert de.symbol_to_json(again) == de.symbol_to_json(t)
+
+
 # ---------------------------------------------------------------------------
 # evaluation and derivatives
 
@@ -490,8 +528,7 @@ def _candidates_near_the_bound(rng):
         a, b, c, d = (complex(*rng.normal(size=2)) for _ in range(4))
         if abs(d) < abs(c):
             c, d = d, c
-        circle = de.moebius_image_circle(symbols.Moebius._unchecked(a, b, c, d))
-        f = (1.0 + eps) / (abs(circle.center) + circle.radius)
+        f = (1.0 + eps) / symbols._image_radius_bound(symbols.Moebius._unchecked(a, b, c, d))
         yield lambda a=a * f, b=b * f, c=c, d=d: de.Moebius(a, b, c, d)
         n = int(rng.integers(2, 7))
         coeffs = rng.normal(size=n) + 1j * rng.normal(size=n)
