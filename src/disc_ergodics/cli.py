@@ -6,8 +6,7 @@ Each subcommand accepts only the flags it reads:
 - ``--symbol`` on ``classify``, ``verdict``, ``cesaro``, ``density`` and
   ``weyl``;
 - ``--format csv|report`` on ``cesaro``, ``density`` and ``weyl``;
-- ``--N`` (orbit length; the density budget for ``gallery``) on ``cesaro``,
-  ``density``, ``weyl`` and ``gallery``;
+- ``--N`` (orbit length) on ``cesaro``, ``density`` and ``weyl``;
 - ``verdict``: ``--space``; ``cesaro``: ``--f``, ``--z``; ``density``:
   ``--z0``, ``--radius``, ``--seeds``; ``weyl``: ``--z``, ``--jmax``;
   ``counterexample``: ``--theta``, ``--R``, ``--K``, ``--alpha``, ``--r0``.
@@ -44,7 +43,7 @@ import sys
 import numpy as np
 
 from . import dynamics, ergodicity, gallery, weighted
-from .symbols import SymbolError, _is_inner, iterate, parse_symbol
+from .symbols import SELF_MAP_TOL, SymbolError, _is_inner, iterate, parse_symbol
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -292,6 +291,8 @@ def _cmd_cesaro(args) -> int:
 def _cmd_density(args) -> int:
     s = _load_symbol(args.symbol)
     z0 = args.z0
+    if z0 is not None and not abs(z0) <= 1.0 + SELF_MAP_TOL:  # also when not a number
+        raise ConfigError(f"--z0 must be a point of the closed disc, got {z0!r}")
     # |phi| = 1 on the circle: a Blaschke product, however it is given
     inner = _is_inner(s)
     cls = dynamics.classify(s) if z0 is None or inner else None
@@ -376,7 +377,7 @@ def _cmd_gallery(args) -> int:
         _write_json(os.path.join(out, f"{name}_classify.json"),
                     dynamics.classification_to_dict(cls, s))
         for space in ("A", "Hinf"):
-            v = ergodicity.verdict(s, space, min(args.n, 10**4), cls=cls)
+            v = ergodicity.verdict(s, space, cls=cls)
             _write_json(os.path.join(out, f"{name}_verdict_{space}.json"), v.to_dict())
             undecided |= ergodicity.UNKNOWN in (v.mean_ergodic, v.uniformly_mean_ergodic)
             print(f"{name:12s} {space:4s} {cls.kind:22s} "
@@ -435,7 +436,7 @@ def _parser() -> _Parser:
     p.add_argument("--K", type=_positive_int, default=30, dest="k_terms")
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--r0", type=float, default=0.5)
-    command("gallery", "classify and judge every built-in symbol", symbol=False, n=True)
+    command("gallery", "classify and judge every built-in symbol", symbol=False)
     return parser
 
 

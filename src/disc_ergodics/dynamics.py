@@ -448,9 +448,10 @@ def boundary_periodic_points(s: Symbol, max_period: int) -> list[BoundaryPeriodi
 
     A point q is reported only if it passes the residual test
     |phi^p(q) - q| <= 1e-10, which needs |phi^p(q)| >= 1 - 1e-10.  When the
-    symbol maps the closed disc into a disc of radius R < 1 - 1e-10 (the
-    residual test's margin; ``symbols._image_radius_bound``), so does every
-    iterate, and the search returns [] without sampling.
+    symbol maps the closed disc into a disc of radius R, and R plus its
+    rounding is below 1 - 1e-10 (the residual test's margin;
+    ``symbols._image_radius_bound``), so does every iterate, and the search
+    returns [] without sampling.
 
     Otherwise roots of phi^p(e^{it}) = e^{it} are bracketed by strict sign
     changes of the wrapped argument gap arg(phi^p(e^{it})) - t on
@@ -468,7 +469,8 @@ def boundary_periodic_points(s: Symbol, max_period: int) -> list[BoundaryPeriodi
     """
     if max_period < 1 or max_period > 8:
         raise ValueError("max_period must be between 1 and 8")
-    if _image_radius_bound(s) < 1.0 - 1e-10:
+    bound, rounding = _image_radius_bound(s)
+    if bound + rounding < 1.0 - 1e-10:
         return []
     found, angles = [], []
     t = np.linspace(0.0, 2.0 * np.pi, PERIOD_SAMPLES, endpoint=False)

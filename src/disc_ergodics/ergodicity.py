@@ -693,11 +693,11 @@ def _json_value(value):
 # Budgets of the numerical evidence; ``verdict`` says what each one counts.
 DENSITY_N = 10**5
 DENSITY_SEEDS = 32
-DENSITY_RADII = (0.5, 0.1, 0.02)
+DENSITY_RADIUS = 0.02
 SUP_NORM_N = 40
 MAX_PERIOD = 3
 # Density-evidence margins: a numerical yes needs a certified run or every
-# seed/radius estimate at or above DENSITY_YES; a no needs a seed whose
+# seed's estimate at or above DENSITY_YES; a no needs a seed whose
 # running minimum ratio stays at or below DENSITY_NO over the second half.
 # In between: unknown.
 DENSITY_YES = 0.999
@@ -751,11 +751,11 @@ def _interior_verdict(s: Symbol, space: str, cls: dynamics.InteriorDW) -> Ergodi
         return ErgodicityVerdict(space, UNKNOWN, UNKNOWN, tag, evidence)
     # Certificate: a symbol that maps the closed disc into D(0, R), R < 1,
     # is a strict contraction of the hyperbolic metric on that compact
-    # image (Schwarz-Pick, Earle-Hamilton), so phi^n -> z0 uniformly.  The
-    # margin is that of the boundary-periodic-point search, which returns
-    # no point for such symbols.
-    bound = _image_radius_bound(s)
-    if bound < 1.0 - 1e-10:
+    # image (Schwarz-Pick, Earle-Hamilton), so phi^n -> z0 uniformly.  R is
+    # taken with its rounding, and the margin is that of the
+    # boundary-periodic-point search, which returns no point for such symbols.
+    bound, rounding = _image_radius_bound(s)
+    if bound + rounding < 1.0 - 1e-10:
         evidence.append(("image_radius_bound", bound))
         return ErgodicityVerdict(space, YES, YES, tag, evidence)
     periodic_pts = (dynamics._boundary_fixed_points(s)
@@ -788,7 +788,7 @@ def _boundary_seeds(z0: complex, count: int) -> np.ndarray:
     return seeds[keep]
 
 
-def _boundary_verdict(s: Symbol, space: str, cls, density_n: int) -> ErgodicityVerdict:
+def _boundary_verdict(s: Symbol, space: str, cls) -> ErgodicityVerdict:
     z0 = cls.z0
     parabolic = isinstance(cls, dynamics.ParabolicDW)
     evidence = [("z0", z0), ("angular_derivative", cls.angular_derivative)]
@@ -836,16 +836,16 @@ def _boundary_verdict(s: Symbol, space: str, cls, density_n: int) -> ErgodicityV
     # The orbits stop once a horodisc certificate covers their remainder.
     delta = _attractor_error_bound(s, cls)
     hits, min_ratios, certified_step = _visits(
-        s, _boundary_seeds(z0, DENSITY_SEEDS), complex(z0), DENSITY_RADII, density_n, delta)
-    min_estimate = float(hits.min()) / density_n
+        s, _boundary_seeds(z0, DENSITY_SEEDS), complex(z0), [DENSITY_RADIUS], DENSITY_N, delta)
+    min_estimate = float(hits.min()) / DENSITY_N
     min_ratio = float(min_ratios.min())
     evidence.append(("density_min_estimate", min_estimate))
     evidence.append(("density_min_running_ratio", min_ratio))
-    evidence.append(("density_n", density_n))
+    evidence.append(("density_n", DENSITY_N))
     evidence.append(("attractor_error_bound", delta))
     evidence.append(("density_certified_step", certified_step))
     tag = f"{TAG_DENSITY} + {TAG_BOUNDARY_DW}"
-    # certified: every orbit stays in every ball, so the lower density is 1
+    # certified: every orbit stays in the ball, so the lower density is 1
     if certified_step is not None or min_estimate >= DENSITY_YES:
         return ErgodicityVerdict(space, YES, NO, tag, evidence)
     if min_ratio <= DENSITY_NO:
@@ -854,8 +854,8 @@ def _boundary_verdict(s: Symbol, space: str, cls, density_n: int) -> ErgodicityV
     return ErgodicityVerdict(space, UNKNOWN, NO, tag, evidence)
 
 
-def verdict(s: Symbol, space: str, density_n: int = DENSITY_N,
-            weight=None, cls: dynamics.SymbolClass | None = None) -> ErgodicityVerdict:
+def verdict(s: Symbol, space: str, weight=None,
+            cls: dynamics.SymbolClass | None = None) -> ErgodicityVerdict:
     """Mean-ergodicity verdict for the composition operator on one space.
 
     Classifies the symbol, then applies the decision rules: periodic
@@ -866,13 +866,14 @@ def verdict(s: Symbol, space: str, density_n: int = DENSITY_N,
     dichotomies and the orbit-density experiment deciding mean ergodicity.
 
     Two certificates come before the experiments they replace.  At an
-    interior attracting point, an image-radius bound R < 1 - 1e-10 (exact
-    for Moebius maps, sum |c_k| for polynomial and Taylor symbols) proves
-    uniform convergence phi^n -> z0 and gives yes/yes with evidence
-    ``image_radius_bound``; otherwise a boundary periodic point obstructs
+    interior attracting point, an image-radius bound R (exact for Moebius
+    maps, sum |c_k| for polynomial and Taylor symbols) that lies below
+    1 - 1e-10 with its rounding added proves uniform convergence
+    phi^n -> z0 and gives yes/yes with evidence ``image_radius_bound``, R
+    itself; otherwise a boundary periodic point obstructs
     (a fixed point read from phi(z) = z, else one the sampled search finds),
     or sup-norm decay of the iterates decides.  On the density route, the
-    orbits stop once Julia's lemma keeps the rest of each of them in every
+    orbits stop once Julia's lemma keeps the rest of each of them in the
     ball (``_visits``), which answers yes; the evidence names that step,
     ``density_certified_step`` (null when every step was taken), and the
     bound ``attractor_error_bound`` on the error of z0 that the certificate
@@ -881,14 +882,13 @@ def verdict(s: Symbol, space: str, density_n: int = DENSITY_N,
     given, is the symbol's ``dynamics.classify`` result and saves
     classifying it again.
 
-    Budgets: ``density_n`` steps (positive; the one budget a caller sets) of
-    DENSITY_SEEDS boundary seeds for balls of DENSITY_RADII; SUP_NORM_N
-    iterates of ``symbols.disc_grid``; boundary periodic points up to MAX_PERIOD.
+    Budgets, all module constants, none set by a caller: DENSITY_N steps of
+    DENSITY_SEEDS boundary seeds for the ball B(z0, DENSITY_RADIUS);
+    SUP_NORM_N iterates of ``symbols.disc_grid``; boundary periodic points
+    up to MAX_PERIOD.
     """
     if space not in SPACES:
         raise ValueError(f"space must be one of {SPACES}")
-    if density_n < 1:
-        raise ValueError("density_n must be positive")
     if cls is None:
         cls = dynamics.classify(s)
     if isinstance(cls, dynamics.Identity):
@@ -897,4 +897,4 @@ def verdict(s: Symbol, space: str, density_n: int = DENSITY_N,
         return _elliptic_verdict(space, cls, weight)
     if isinstance(cls, dynamics.InteriorDW):
         return _interior_verdict(s, space, cls)
-    return _boundary_verdict(s, space, cls, density_n)
+    return _boundary_verdict(s, space, cls)

@@ -23,7 +23,7 @@ import numpy as np
 
 # Construction / evaluation tolerances.  SELF_MAP_TOL is the slack allowed on
 # the grid maximum of |phi|; doubles never exceed it for a genuine self-map
-# whose evaluation is well conditioned (``_rounding_condition``).
+# whose evaluation is well conditioned (``_image_radius_bound``).
 # POLE_MARGIN keeps Moebius poles off the closed disc.
 SELF_MAP_TOL = 1e-9
 UNIT_ROUNDOFF = 2.0**-53
@@ -124,14 +124,14 @@ class Symbol:
         """Raise SymbolError unless the symbol maps the closed disc into itself.
 
         The exact image-radius bound R (``_image_radius_bound``) settles it
-        without sampling when R <= 1 + SELF_MAP_TOL/2 and rounding cannot
-        carry R or the grid values of |phi| past the other half
-        (``_rounding_condition``): ``self_map_check`` would pass.  Otherwise
-        ``self_map_check`` decides, so the same symbols are accepted and the
-        same errors raised as by the grid alone.
+        without sampling when R <= 1 + SELF_MAP_TOL/2 and its rounding, which
+        bounds that of R and of the grid values of |phi|, is within the other
+        half: ``self_map_check`` would pass.  Otherwise ``self_map_check``
+        decides, so the same symbols are accepted and the same errors raised
+        as by the grid alone.
         """
-        if (_image_radius_bound(self) <= 1.0 + SELF_MAP_TOL / 2
-                and _rounding_condition(self) * UNIT_ROUNDOFF <= SELF_MAP_TOL / 2):
+        bound, rounding = _image_radius_bound(self)
+        if bound <= 1.0 + SELF_MAP_TOL / 2 and rounding <= SELF_MAP_TOL / 2:
             return
         report = self_map_check(self)
         if not report.passed:
@@ -223,10 +223,6 @@ def moebius_product(outer: Moebius, inner: Moebius) -> Moebius:
         outer.c * inner.a + outer.d * inner.c,
         outer.c * inner.b + outer.d * inner.d,
     )
-
-
-def moebius_inverse(m: Moebius) -> Moebius:
-    return Moebius(m.d, -m.b, -m.c, m.a)
 
 
 @dataclass(frozen=True)
@@ -416,22 +412,33 @@ def _moebius_image_circle(m: Moebius) -> tuple[complex, float]:
     return (m.b * m.d.conjugate() - m.a * m.c.conjugate()) / scale, abs(m.det) / scale
 
 
-def _image_radius_bound(s: Symbol) -> float:
-    """A radius R with |phi| <= R on the closed disc (infinite when unknown).
+def _image_radius_bound(s: Symbol) -> tuple[float, float]:
+    """A radius R with |phi| <= R on the closed disc, and a bound on how far
+    rounding in doubles can carry R, or |phi| on the grid of
+    ``self_map_check``, above the exact value (both infinite when unknown).
 
-    Exact for Moebius maps, |center| + radius of the image circle
+    R is exact for Moebius maps, |center| + radius of the image circle
     (``_moebius_image_circle``), and for Blaschke products, which are
     unimodular on the circle: 1.  The triangle inequality, sum |c_k|, for
     polynomial symbols, Taylor symbols included.
+
+    The rounding is K UNIT_ROUNDOFF, K the condition number of evaluating
+    phi with a safety factor of about 4; the grid points lie off the circle
+    by up to 2 UNIT_ROUNDOFF.  Horner's scheme loses about 2n roundoffs in
+    n coefficients, a Blaschke factor 2/(1 - |a|) (a zero 1e-15 inside a
+    grid point of the circle makes the grid read |phi| = 1.07 there, and
+    reject that self-map), and a Moebius map (|a| + |b| + |c| + |d|)/(|d| -
+    |c|), which also bounds the cancellation in the |d|^2 - |c|^2 of R.
     """
     if isinstance(s, Polynomial):
-        return float(sum(abs(c) for c in s.coeffs))
+        return float(sum(abs(c) for c in s.coeffs)), 8.0 * len(s.coeffs) * UNIT_ROUNDOFF
     if isinstance(s, Blaschke):
-        return 1.0
+        return 1.0, sum(8.0 / (1.0 - abs(a)) for a in s.zeros) * UNIT_ROUNDOFF
     if isinstance(s, Moebius):
         center, radius = _moebius_image_circle(s)
-        return abs(center) + radius
-    return math.inf
+        condition = 16.0 * (abs(s.a) + abs(s.b) + abs(s.c) + abs(s.d)) / (abs(s.d) - abs(s.c))
+        return abs(center) + radius, condition * UNIT_ROUNDOFF
+    return math.inf, math.inf
 
 
 def _is_inner(s: Symbol) -> bool:
@@ -458,28 +465,6 @@ def _is_inner(s: Symbol) -> bool:
         top = max(moduli)
         return sum(moduli) - top + abs(top - 1.0) <= SELF_MAP_TOL
     return False
-
-
-def _rounding_condition(s: Symbol) -> float:
-    """K such that K * UNIT_ROUNDOFF bounds how far rounding in doubles can
-    carry |phi| on the grid of ``self_map_check``, or ``_image_radius_bound``,
-    above the exact value (infinite when unknown).
-
-    K is the condition number of evaluating phi with a safety factor of
-    about 4; the grid points lie off the circle by up to 2 UNIT_ROUNDOFF.
-    Horner's scheme loses about 2n roundoffs in n coefficients, a Blaschke
-    factor 2/(1 - |a|) (a zero 1e-15 inside a grid point of the circle makes
-    the grid read |phi| = 1.07 there, and reject that self-map), and a
-    Moebius map (|a| + |b| + |c| + |d|)/(|d| - |c|), which also bounds the
-    cancellation in the |d|^2 - |c|^2 of R.
-    """
-    if isinstance(s, Polynomial):
-        return 8.0 * len(s.coeffs)
-    if isinstance(s, Blaschke):
-        return sum(8.0 / (1.0 - abs(a)) for a in s.zeros)
-    if isinstance(s, Moebius):
-        return 16.0 * (abs(s.a) + abs(s.b) + abs(s.c) + abs(s.d)) / (abs(s.d) - abs(s.c))
-    return math.inf
 
 
 @dataclass(frozen=True)
@@ -753,15 +738,6 @@ def iterate(s: Symbol, z: complex, n: int) -> Orbit:
     return Orbit(z, np.concatenate([block[:, 0] for _, block in orbit_blocks(s, [z], n)]))
 
 
-def iterate_array(s: Symbol, z: np.ndarray, n: int) -> np.ndarray:
-    """Final iterate phi^n applied elementwise to an array of seeds."""
-    w = np.asarray(z, dtype=complex)
-    last = w.ravel()
-    for _, block in orbit_blocks(s, last, n):
-        last = block[-1]
-    return last.reshape(w.shape)
-
-
 # ---------------------------------------------------------------------------
 # Automorphisms
 
@@ -888,7 +864,3 @@ def parse_symbol(doc) -> Symbol:
         if isinstance(exc, SymbolParseError):
             raise
         raise SymbolParseError(str(exc), kind) from exc
-
-
-def symbol_to_json(s: Symbol) -> str:
-    return json.dumps(s.to_dict(), indent=2, sort_keys=True)

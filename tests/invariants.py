@@ -112,7 +112,8 @@ def check_classify_conjugation_invariance(cases: int = 100) -> int:
         if rng.uniform() < 0.5:
             base = de.moebius_product(base, de.Moebius(rng.uniform(0.3, 0.9), 0, 0, 1))
         psi = random_automorphism(rng)
-        conj = de.moebius_product(de.moebius_product(psi, base), de.moebius_inverse(psi))
+        inverse = de.Moebius(psi.d, -psi.b, -psi.c, psi.a)
+        conj = de.moebius_product(de.moebius_product(psi, base), inverse)
         c1, c2 = de.classify(base), de.classify(conj)
         assert c1.kind == c2.kind, (base, psi, c1, c2)
         if isinstance(c1, de.EllipticAutomorphism):

@@ -248,14 +248,15 @@ def test_criterion_14_verdicts_at_the_cost_of_their_decision():
     # validation from the image-radius bound, and the periodic-point search
     # that obstructs interior attracting points of Blaschke products
     rng = np.random.default_rng(invariants.SEED + 14)
-    docs = [de.symbol_to_json(invariants.random_moebius_contraction(rng) if i % 2
-                              else invariants.random_automorphism(rng)) for i in range(300)]
+    lfts = [invariants.random_moebius_contraction(rng) if i % 2
+            else invariants.random_automorphism(rng) for i in range(300)]
+    docs = [json.dumps(s.to_dict(), indent=2, sort_keys=True) for s in lfts]
     kinds = {"polynomial": 0, "blaschke": 0}
     while min(kinds.values()) < 300:
         s = invariants.random_circle_symbol(rng)
         if kinds[s.kind] < 300:
             kinds[s.kind] += 1
-            docs.append(de.symbol_to_json(s))
+            docs.append(json.dumps(s.to_dict(), indent=2, sort_keys=True))
     docs += [json.dumps(de.gallery_document(name)) for name in de.GALLERY_NAMES]
     products = []
     while len(products) < 10:
@@ -266,7 +267,7 @@ def test_criterion_14_verdicts_at_the_cost_of_their_decision():
     parsed = [de.parse_symbol(doc) for doc in docs]
     verdicts = [de.verdict(s, "A") for s in products]
     elapsed = time.perf_counter() - t0
-    assert [de.symbol_to_json(s) for s in parsed[:900]] == docs[:900]
+    assert [json.dumps(s.to_dict(), indent=2, sort_keys=True) for s in parsed[:900]] == docs[:900]
     assert all((v.mean_ergodic, v.uniformly_mean_ergodic) == ("no", "no")
                and "boundary_periodic_point" in dict(v.evidence) for v in verdicts)
     _report(14, "symbol validation and periodic-point verdicts", elapsed, 0.25,

@@ -132,7 +132,7 @@ def test_counterexample_command(tmp_path):
 
 
 def test_gallery_command(tmp_path):
-    code = cli.main(["gallery", "--out", str(tmp_path), "--N", "5000"])
+    code = cli.main(["gallery", "--out", str(tmp_path)])
     assert code in (0, 2)
     written = sorted(os.listdir(tmp_path / "gallery"))
     assert "zsq_classify.json" in written
@@ -261,6 +261,22 @@ def test_density_without_a_seed_exits_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "coincides with z0" in err and "--seeds must be at least 2" in err
+    assert not (tmp_path / "density.csv").exists()
+
+
+@pytest.mark.parametrize("z0, shown", [("nan", "(nan+0j)"), ("5", "(5+0j)")])
+def test_density_refuses_a_target_off_the_disc(tmp_path, capsys, monkeypatch, z0, shown):
+    # a nan target would drop every seed and blame --seeds; one off the
+    # disc would read density 0 for every seed
+    def fail(*args, **kwargs):
+        raise AssertionError("density_sweep called")
+
+    monkeypatch.setattr(ergodicity, "density_sweep", fail)
+    sym = _write_gallery(tmp_path, "tangent")
+    assert cli.main(["density", "--symbol", sym, "--z0", z0, "--N", "100",
+                     "--out", str(tmp_path)]) == 1
+    message = f"--z0 must be a point of the closed disc, got {shown}"
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "density.csv").exists()
 
 

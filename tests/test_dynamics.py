@@ -492,7 +492,7 @@ def test_boundary_periodic_points_rotated_polynomial_not_skipped():
     # conj(lam); its coefficient bound is 1, the edge of the skip rule
     lam = cmath.exp(0.7j)
     s = de.Polynomial([c * lam ** (k - 1) for k, c in enumerate([0.0, 0.5, 0.3, 0.2])])
-    assert abs(symbols._image_radius_bound(s) - 1.0) <= 1e-15
+    assert abs(symbols._image_radius_bound(s)[0] - 1.0) <= 1e-15
     pts = de.boundary_periodic_points(s, 2)
     assert len(pts) == 1
     assert abs(pts[0].point - lam.conjugate()) <= 1e-10 and pts[0].period == 1
@@ -504,7 +504,7 @@ def test_boundary_periodic_points_rotated_polynomial_not_skipped():
 ])
 def test_image_radius_bound_is_the_moebius_maximum(m):
     sampled = float(np.max(np.abs(m(boundary_points(1 << 14)))))
-    bound = symbols._image_radius_bound(m)
+    bound, _ = symbols._image_radius_bound(m)
     assert sampled - 1e-12 <= bound <= sampled + 1e-6
 
 
@@ -666,14 +666,14 @@ def test_local_contraction_parabolic_fails():
 def test_image_circle_half():
     center, radius = _reference_image_circle(HALF)
     assert abs(center) <= 1e-14 and radius == pytest.approx(0.5, abs=1e-14)
-    assert symbols._image_radius_bound(HALF) == abs(center) + radius
+    assert symbols._image_radius_bound(HALF)[0] == abs(center) + radius
 
 
 def test_image_circle_automorphism():
     # an automorphism maps the circle onto itself: R = 1 up to rounding
     for s in (HYPERBOLIC, PARABOLIC):
         center, radius = _reference_image_circle(s)
-        bound = symbols._image_radius_bound(s)
+        bound, _ = symbols._image_radius_bound(s)
         assert bound == abs(center) + radius
         assert abs(bound - 1.0) <= 1e-15, s
 
@@ -683,7 +683,7 @@ def test_image_circle_tangent():
     assert center == pytest.approx(0.5, abs=1e-12)
     assert radius == pytest.approx(0.5, abs=1e-12)
     # internally tangent to the unit circle at 1: R = |center| + radius = 1
-    assert symbols._image_radius_bound(TANGENT) == pytest.approx(1.0, abs=1e-12)
+    assert symbols._image_radius_bound(TANGENT)[0] == pytest.approx(1.0, abs=1e-12)
     assert dict(de.verdict(TANGENT, "A").evidence)["tangency_gap"] <= 1e-12
 
 
@@ -694,7 +694,7 @@ def test_image_circle_small_radius_is_exact():
     center, radius = symbols._moebius_image_circle(s)
     assert center == 0.5
     assert radius == pytest.approx(1e-7, rel=1e-15)
-    assert symbols._image_radius_bound(s) == 0.5 + radius
+    assert symbols._image_radius_bound(s)[0] == 0.5 + radius
 
 
 def test_image_circle_unit_test_matches_boundary_oracle():
@@ -711,8 +711,7 @@ def test_image_circle_unit_test_matches_boundary_oracle():
         eps = 10.0 ** rng.uniform(-13.0, -8.0)
         s = de.moebius_product(random_automorphism(rng), de.Moebius(1.0 - eps, 0, 0, 1))
         moduli = np.abs(s(pts))
-        bound = symbols._image_radius_bound(s)
-        rounding = symbols._rounding_condition(s) * symbols.UNIT_ROUNDOFF
+        bound, rounding = symbols._image_radius_bound(s)
         assert abs(bound - float(np.max(moduli))) <= rounding, s
         deviation = float(np.max(np.abs(moduli - 1.0)))
         if 0.5e-10 <= deviation <= 2e-10:
@@ -745,14 +744,14 @@ def test_boundary_periodic_points_invariants():
 
 def test_denjoy_wolff_consistency_across_seeds():
     rng = np.random.default_rng(5)
-    from disc_ergodics.symbols import iterate_array
-
     for s, parabolic in ((HALF, False), (HYPERBOLIC, False), (TANGENT, False),
                          (PARABOLIC, True), (ZSQ, False), (BLEND, False)):
         z0 = de.classify(s).z0 if not isinstance(de.classify(s), de.EllipticAutomorphism) else None
         seeds = np.array([0.9 * math.sqrt(rng.uniform()) * cmath.exp(2j * math.pi * rng.uniform())
                           for _ in range(10)])
-        finals = iterate_array(s, seeds, 10**4)
+        finals = seeds
+        for _, block in symbols.orbit_blocks(s, seeds, 10**4):
+            finals = block[-1]
         spread = float(np.max(np.abs(finals - finals[0])))
         assert spread <= 1e-4
         if not parabolic:
@@ -770,7 +769,7 @@ def test_tangency_dichotomy():
                                (de.Moebius(r, 1.0 - r, 0, 1), True)):
             s = de.moebius_product(auto, inner)
             center, radius = _reference_image_circle(s)
-            bound = symbols._image_radius_bound(s)
+            bound, _ = symbols._image_radius_bound(s)
             assert bound == pytest.approx(abs(center) + radius, rel=1e-15), s
             if tangent:
                 assert abs(bound - 1.0) <= 1e-8, s

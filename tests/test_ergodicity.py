@@ -564,14 +564,6 @@ def _v(s, space, **kw):
     return de.verdict(s, space, **kw)
 
 
-def test_verdict_needs_a_positive_density_budget():
-    s = de.Polynomial([0.19, 0.8, 0.01])
-    for n in (0, -5):
-        with pytest.raises(ValueError, match="density_n must be positive"):
-            de.verdict(s, "A", density_n=n)
-    assert _v(s, "A", density_n=1).mean_ergodic in ("yes", "no", "unknown")
-
-
 def test_verdict_interior_contraction():
     v = _v(HALF, "Hinf")
     assert (v.mean_ergodic, v.uniformly_mean_ergodic) == ("yes", "yes")
@@ -668,7 +660,7 @@ def test_verdict_generic_boundary_routes():
     assert "Thm 3.6(ii)" in v.theorem_tag
     # degree-two Blaschke with boundary attractor: exact dichotomy says no
     b = de.Blaschke(0.0, [-0.6, -0.6])
-    vb = _v(b, "A", density_n=10**4)
+    vb = _v(b, "A")
     assert (vb.mean_ergodic, vb.uniformly_mean_ergodic) == ("no", "no")
     assert "Prop 3.10" in vb.theorem_tag
 
@@ -683,6 +675,39 @@ def test_verdict_interior_certificate():
     assert (v.mean_ergodic, v.uniformly_mean_ergodic) == ("yes", "yes")
     evidence = dict(v.evidence)
     assert "sup_distance_last" in evidence and "image_radius_bound" not in evidence
+
+
+def _yes_yes(s) -> bool:
+    # whether the verdict on A or on Hinf is yes/yes; a refusal to classify is not
+    try:
+        cls = de.classify(s)
+    except de.UnclassifiableError:
+        return False
+    return any((v.mean_ergodic, v.uniformly_mean_ergodic) == ("yes", "yes")
+               for v in (_v(s, space, cls=cls) for space in ("A", "Hinf")))
+
+
+def test_near_circle_elliptic_maps_are_not_certified_interior():
+    # Rounded to double coefficients, an elliptic automorphism about p near
+    # the circle can classify as InteriorDW, its image-radius bound R below
+    # 1 by 1e-7 to 3e-5 and its rounding 1e-5 to 3e-3.  R without its
+    # rounding would certify yes/yes on A and Hinf for 6 of these 400 maps,
+    # where an aperiodic rotation is yes/no and no/no.
+    rng = np.random.default_rng(20261020)
+    for _ in range(400):
+        angle = rng.uniform(0, 2 * math.pi)
+        eps = 10 ** rng.uniform(math.log10(2e-6), -1)
+        p = complex((1 - eps) * np.exp(1j * rng.uniform(0, 2 * math.pi)))
+        assert not _yes_yes(de.make_automorphism("elliptic", angle=angle, fixed_point=p)), \
+            (angle, p)
+
+
+def test_near_circle_elliptic_map_within_its_rounding():
+    s = de.make_automorphism("elliptic", angle=4.067141221853249,
+                             fixed_point=0.9615895773584281 + 0.274483650004781j)
+    bound, rounding = de.symbols._image_radius_bound(s)
+    assert 2.0e-5 < 1.0 - bound < 2.1e-5 and rounding > 2.5e-3
+    assert not _yes_yes(s)
 
 
 def _count_searches(monkeypatch) -> list:
@@ -736,13 +761,17 @@ def test_planted_cycles_reach_the_search_as_before(monkeypatch):
     assert reports == [_v(s, space).to_dict() for s in symbols for space in ("A", "Hinf")]
 
 
-def test_verdict_density_route_names_its_certificate():
+def test_verdict_density_route_names_its_certificate(monkeypatch):
+    # the minima over the balls of radii 0.5, 0.1 and 0.02 are those of the
+    # smallest ball, bit for bit: a visit to it is a visit to each larger one
+    monkeypatch.setattr(de.ergodicity, "DENSITY_N", 3000)
     for s, certified in ((de.Polynomial([0.19, 0.8, 0.01]), True),
                          (de.Polynomial([0.5, 0.0, 0.5]), False)):
         cls = de.classify(s)
-        evidence = dict(_v(s, "A", density_n=3000, cls=cls).evidence)
+        evidence = dict(_v(s, "A", cls=cls).evidence)
         seeds = de.ergodicity._boundary_seeds(cls.z0, de.ergodicity.DENSITY_SEEDS)
-        hits, ratios, _ = de.ergodicity._visits(s, seeds, cls.z0, de.ergodicity.DENSITY_RADII, 3000)
+        hits, ratios, _ = de.ergodicity._visits(s, seeds, cls.z0, (0.5, 0.1, 0.02), 3000)
+        assert evidence["density_n"] == 3000
         assert evidence["density_min_estimate"] == float(hits.min()) / 3000
         assert evidence["density_min_running_ratio"] == float(ratios.min())
         assert 0.0 < evidence["attractor_error_bound"] < 1e-12
@@ -803,7 +832,8 @@ def test_verdict_conjugation_invariance():
     rng = np.random.default_rng(23)
     for base in (PARABOLIC, HYPERBOLIC, TANGENT, HALF):
         psi = random_automorphism(rng)
-        conj = de.moebius_product(de.moebius_product(psi, base), de.moebius_inverse(psi))
+        inverse = de.Moebius(psi.d, -psi.b, -psi.c, psi.a)
+        conj = de.moebius_product(de.moebius_product(psi, base), inverse)
         for space in ("A", "Hinf"):
             v1, v2 = _v(base, space), _v(conj, space)
             assert v1.mean_ergodic == v2.mean_ergodic

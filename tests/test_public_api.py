@@ -2,8 +2,10 @@
 resolves on the package, and so does every function the benchmark's tracer
 wraps, so removing a name they use fails here rather than only when a demo or
 the benchmark is run.  Each demo also runs to the end with nothing on
-stderr."""
+stderr.  Conversely, every name the package exports has a caller outside the
+tests."""
 
+import ast
 import importlib.util
 import inspect
 import os
@@ -27,6 +29,24 @@ def test_documented_names_resolve(path):
     assert names, f"{path.name} uses no de.<name>"
     missing = sorted(name for name in names if not hasattr(de, name))
     assert not missing, f"{path.name} uses names missing from disc_ergodics: {missing}"
+
+
+def test_exported_names_have_a_caller():
+    # A name imported into disc_ergodics/__init__.py is used, as a whole word
+    # off its own def or class line, by another module of the package, a
+    # demo, the benchmark or the README; tests alone do not keep it public.
+    package = ROOT / "src" / "disc_ergodics"
+    init = package / "__init__.py"
+    names = [alias.name for node in ast.parse(init.read_text(encoding="utf-8")).body
+             if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert names
+    users = [p for p in sorted(package.rglob("*.py")) if p != init] + DOCUMENTED
+    users += sorted(ROOT.glob("perfbench/*.py")) + sorted(ROOT.glob("perfbench/*.md"))
+    lines = [line for p in users for line in p.read_text(encoding="utf-8").splitlines()]
+    unused = [name for name in names
+              if not any(re.search(rf"\b{name}\b", line)
+                         and not re.match(rf"\s*(def|class)\s+{name}\b", line) for line in lines)]
+    assert not unused, f"exported names with no caller outside the tests: {unused}"
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)

@@ -77,7 +77,7 @@ def test_round_trip_is_bit_exact():
         de.Taylor([0, 0.5, 0.25], truncation=64, abs_sum_bound=1.0),
     ]
     for s in symbols:
-        again = de.parse_symbol(json.loads(de.symbol_to_json(s)))
+        again = de.parse_symbol(json.loads(json.dumps(s.to_dict(), indent=2, sort_keys=True)))
         assert type(again) is type(s)
         assert again == s
 
@@ -115,9 +115,10 @@ def test_taylor_is_the_polynomial_it_stores():
     assert t != p and p != t  # a document with its budget is not the bare polynomial
     assert t.to_dict() == {"kind": "taylor", "coeffs": p.to_dict()["coeffs"],
                            "truncation": 16, "abs_sum_bound": 1.0}
-    again = de.parse_symbol(de.symbol_to_json(t))
+    text = json.dumps(t.to_dict(), indent=2, sort_keys=True)
+    again = de.parse_symbol(text)
     assert type(again) is de.Taylor and again == t
-    assert de.symbol_to_json(again) == de.symbol_to_json(t)
+    assert json.dumps(again.to_dict(), indent=2, sort_keys=True) == text
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +529,7 @@ def _candidates_near_the_bound(rng):
         a, b, c, d = (complex(*rng.normal(size=2)) for _ in range(4))
         if abs(d) < abs(c):
             c, d = d, c
-        f = (1.0 + eps) / symbols._image_radius_bound(symbols.Moebius._unchecked(a, b, c, d))
+        f = (1.0 + eps) / symbols._image_radius_bound(symbols.Moebius._unchecked(a, b, c, d))[0]
         yield lambda a=a * f, b=b * f, c=c, d=d: de.Moebius(a, b, c, d)
         n = int(rng.integers(2, 7))
         coeffs = rng.normal(size=n) + 1j * rng.normal(size=n)
