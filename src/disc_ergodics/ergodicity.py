@@ -18,8 +18,9 @@ import mpmath as mp
 import numpy as np
 
 from . import dynamics
-from .symbols import (Orbit, Polynomial, Symbol, _closed_form, _horner, _image_radius_bound,
-                      _is_inner, _moebius_image_circle, boundary_points, orbit_blocks)
+from .symbols import (Orbit, Polynomial, Symbol, _closed_form, _folded_blocks, _horner,
+                      _image_radius_bound, _is_inner, _moebius_image_circle, boundary_points,
+                      orbit_blocks)
 from .weighted import VAlpha
 
 # Decision-rule tags carried by verdicts.  Stable identifiers: downstream
@@ -197,20 +198,44 @@ def cesaro_apply(s: Symbol, f: TestFunction, z: complex, n: int) -> CesaroTrace:
 
 
 def cesaro_final_means(s: Symbol, f: TestFunction, seeds, n: int) -> np.ndarray:
-    """Final Cesaro mean at step n for an array of seeds, in one sweep."""
+    """Final Cesaro mean at step n for an array of seeds, in one sweep.
+
+    f is evaluated once on each computed row of the orbits
+    (``symbols._folded_blocks``).  Where the orbits repeat, as those of an
+    exact rotation do from their first row and stepped orbits that settle
+    bit for bit on a cycle do from its onset, the p rows of one period
+    stand for the rest: their sum is added once per full period left, and
+    the first rows of it once for a partial period.  The cost is that of
+    the onset and the period, not of n.  The sum then differs from the one
+    over every row only in its rounding, which the tests hold within
+    n 2^-53 sup|f|.
+    """
     seeds = np.asarray(seeds, dtype=complex)
     total = np.zeros(seeds.size, dtype=complex)
-    for _, block in orbit_blocks(s, seeds, n):
-        total = total + np.sum(f(block), axis=0)
+    for m0, block, period in _folded_blocks(s, seeds, n):
+        values = f(block)
+        total = total + np.sum(values, axis=0)
+        if period is not None:
+            full, part = divmod(n - m0 - len(block), period)
+            cycle = values[len(values) - period:]
+            total = total + (full * np.sum(cycle, axis=0) + np.sum(cycle[:part], axis=0))
     return _divide(total, n).reshape(seeds.shape)
+
+
+def _identity(z):
+    return z
 
 
 def cesaro_orbit_mean(s: Symbol, z, n: int):
     """Average (1/n) sum phi^m(z): converges to the unique fixed point for
-    every non-identity symbol.  Accepts a scalar seed or an array of seeds."""
+    every non-identity symbol.  Accepts a scalar seed or an array of seeds.
+
+    The means of the identity under ``cesaro_final_means``: the points
+    themselves are summed, with no power taken (numpy's z**1 is z).
+    """
     if isinstance(z, np.ndarray):
-        return cesaro_final_means(s, Monomial(1), z, n)
-    return complex(cesaro_final_means(s, Monomial(1), np.array([z], dtype=complex), n)[0])
+        return cesaro_final_means(s, _identity, z, n)
+    return complex(cesaro_final_means(s, _identity, np.array([z], dtype=complex), n)[0])
 
 
 def rotation_cesaro_limit(k: int, coeffs) -> list[complex]:
@@ -749,6 +774,12 @@ def _interior_verdict(s: Symbol, space: str, cls: dynamics.InteriorDW) -> Ergodi
     if space in ("Hv", "Hv0"):
         evidence.append(("note", "weighted theory covers rotation symbols only"))
         return ErgodicityVerdict(space, UNKNOWN, UNKNOWN, tag, evidence)
+    if dynamics._as_moebius(s) is not None and _is_inner(s):
+        # A degree-one map onto the circle is an automorphism, whose interior
+        # fixed point cannot attract; rounding decided one of the two.
+        evidence.append(("note", "contradiction: classified with an interior attracting "
+                                 "point, yet an automorphism to within AUTOMORPHISM_TOL"))
+        return ErgodicityVerdict(space, UNKNOWN, UNKNOWN, tag, evidence)
     # Certificate: a symbol that maps the closed disc into D(0, R), R < 1,
     # is a strict contraction of the hyperbolic metric on that compact
     # image (Schwarz-Pick, Earle-Hamilton), so phi^n -> z0 uniformly.  R is
@@ -878,6 +909,10 @@ def verdict(s: Symbol, space: str, weight=None,
     ``density_certified_step`` (null when every step was taken), and the
     bound ``attractor_error_bound`` on the error of z0 that the certificate
     allowed for (null, with every step taken, where none is derived).
+    A degree-one symbol classified with an interior attracting point that
+    also passes the automorphism test (``symbols._is_inner``) contradicts
+    itself: it answers unknown/unknown, with a note naming the
+    contradiction, and runs no experiment.
     ``unknown`` is a valid outcome and carries its reason.  ``cls``, when
     given, is the symbol's ``dynamics.classify`` result and saves
     classifying it again.

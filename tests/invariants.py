@@ -535,6 +535,20 @@ class CountingSymbol(de.Symbol):
         return self.s(z)
 
 
+class CountingTestFunction(de.TestFunction):
+    """A test function that counts the orbit rows it is evaluated on."""
+
+    def __init__(self, f: de.TestFunction):
+        self.f, self.rows = f, 0
+
+    def __call__(self, z):
+        self.rows += len(z)
+        return self.f(z)
+
+    def boundary_sup(self) -> float:
+        return self.f.boundary_sup()
+
+
 def stepped_orbit(s: de.Symbol, seeds, n: int) -> np.ndarray:
     """n rows of the plain step loop, one seed in Python complex arithmetic
     and several in one array, as ``orbit_blocks`` steps them."""

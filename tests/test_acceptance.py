@@ -443,3 +443,42 @@ def test_criterion_22_closed_forms_at_the_cost_of_their_period():
     _report(22, "closed forms at the cost of their period", elapsed, 5e-4,
             f"15 monomial means in {elapsed * 1e6:.0f} us; kappa^m of 10^5 rows "
             f"in {times[0] * 1e3:.2f} ms from one period, {times[1] * 1e3:.2f} ms per m")
+
+
+def test_criterion_23_tiled_sums_do_not_grow_with_n():
+    # Cesaro means at n = 10^9 over orbits that repeat: a rotation of order 7
+    # from its first row, and blend_half from the onset of its fixed point
+    # in doubles.  f is evaluated on the rows before the repeat and on one
+    # period, and the sums agree with those at n1 (10^6, or the next n1 in
+    # the same residue mod the period) plus (10^9 - n1) times the limit L,
+    # rotation_cesaro_limit's for the rotation, f at the fixed point for
+    # blend_half, within 10^9 2^-53 sup|f|.  For the rotation the gap is
+    # (10^9 - n1)/7 times the sum of f over one period, 5.5e-16 where the
+    # exact sum is 0: the rounding of the seven values of f, which a sum
+    # over every row repeats as often.
+    f, n, n1 = de.Monomial(5), 10**9, 10**6
+    rot = de.Moebius(cmath.exp(6j * math.pi / 7), 0, 0, 1)
+    blend = de.gallery_symbol("blend_half")
+    seeds = 0.7 * np.exp(2j * np.pi * (np.arange(16) + 0.3) / 16)
+    grid = invariants.GRID_25
+    onset, period = invariants.stepped_cycle(blend, grid, 2000)
+    fixed = invariants.stepped_orbit(blend, grid, onset)[-1]
+    cases = [(rot, seeds, 0, 7, de.TaylorFn(de.rotation_cesaro_limit(7, [0] * 5 + [1]))(seeds)),
+             (blend, grid, onset, period, f(fixed))]
+    elapsed, worst = [], 0.0
+    for s, z, onset, period, limit in cases:
+        counting = invariants.CountingTestFunction(f)
+        t0 = time.perf_counter()
+        means = de.cesaro_final_means(s, counting, z, n)
+        elapsed.append(time.perf_counter() - t0)
+        assert counting.rows <= onset + 2 * period, (s, counting.rows, onset, period)
+        m1 = n1 + (n - n1) % period
+        gap = float(np.max(np.abs(n * means - m1 * de.cesaro_final_means(s, f, z, m1)
+                                  - (n - m1) * limit)))
+        assert gap <= n * 2.0**-53 * f.boundary_sup(), (s, gap)
+        worst = max(worst, gap)
+    for t in elapsed:
+        assert t < 0.05, elapsed
+    _report(23, "tiled sums do not grow with n", sum(elapsed), 0.1,
+            f"n = 10^9 in {elapsed[0] * 1e3:.2f} and {elapsed[1] * 1e3:.2f} ms; "
+            f"sums off by {worst:.2g}")

@@ -1,13 +1,16 @@
 import cmath
 import math
+import struct
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 import disc_ergodics as de
-from invariants import (CountingSymbol, check_cesaro_power_boundedness,
-                        check_lft_density_certificate, random_automorphism)
+from disc_ergodics.symbols import orbit_blocks
+from invariants import (GRID_25, SIGNED_ZEROS, SUBNORMALS, CountingSymbol, CountingTestFunction,
+                        check_cesaro_power_boundedness, check_lft_density_certificate,
+                        random_automorphism, random_interior_blaschke, stepped_cycle)
 
 HALF = de.Moebius(1, 0, 0, 2)
 HYPERBOLIC = de.Moebius(2, 1, 1, 2)
@@ -62,6 +65,78 @@ def test_cesaro_final_means_keeps_the_seeds_shape():
     flat = de.cesaro_final_means(HYPERBOLIC, de.Monomial(1), seeds.ravel(), 50)
     assert np.array_equal(means.ravel(), flat)
     assert de.cesaro_final_means(HYPERBOLIC, de.Monomial(1), np.array(0.3), 50).shape == ()
+
+
+def _row_by_row_means(f, blocks, n):
+    # f summed over every row of the blocks, exactly rounded per seed, / n
+    values = np.concatenate([f(block) for block in blocks])
+    sums = np.array([complex(math.fsum(v.real), math.fsum(v.imag)) for v in values.T])
+    return sums.real / n + 1j * (sums.imag / n)
+
+
+def _check_per_period_sums(s, seeds, n):
+    # n 2^-53 sup|f| on the sums, 2^-53 sup|f| on the means, and 2^-53
+    # sup|f| for the rounding of each of the two divisions by n
+    blocks = [block for _, block in orbit_blocks(s, seeds, n)]
+    for f in (de.Monomial(3), de.TaylorFn([0.5, -0.25j, 0.125, 0, 0.0625]),
+              de.HalfPointWitness(1j, 7)):
+        got = de.cesaro_final_means(s, f, seeds, n)
+        gap = float(np.max(np.abs(got - _row_by_row_means(f, blocks, n))))
+        assert gap <= 3 * 2.0**-53 * f.boundary_sup(), (s, f, n, gap)
+
+
+def test_per_period_sums_of_exact_rotations():
+    # the rotations of test_exact_rotations_compute_one_period, the elliptic
+    # map about p != 0 included: n inside the first period, at its end and
+    # past it, across the block edges of the 481-row blocks of 17 seeds
+    shapes = [de.Moebius(cmath.exp(2j * math.pi * p / q), 0, 0, 1)
+              for p, q in ((1, 2), (2, 3), (-2, 5), (3, 7), (5, 8))]
+    shapes.append(de.make_automorphism("elliptic", angle=6 * math.pi / 7, fixed_point=0.3 + 0.4j))
+    for s in shapes:
+        form = de.symbols._closed_form(s)
+        seeds = np.concatenate([[form.p], 0.9 * np.exp(2j * np.pi * (np.arange(16) + 0.3) / 16)])
+        for n in (1, form.period - 1, form.period, form.period + 1, 1500):
+            _check_per_period_sums(s, seeds, n)
+
+
+def test_per_period_sums_of_stepped_cycles(monkeypatch):
+    # the shapes of criterion 18, from one seed and from the 25-seed grid:
+    # n below the onset of the cycle, inside its first period, one row past
+    # it, and far past it
+    shapes = [ZSQ, de.gallery_symbol("blend_half"), SIGNED_ZEROS, SUBNORMALS]
+    for s in shapes:
+        for seeds in (np.array([0.3 + 0.2j]), GRID_25):
+            onset, period = stepped_cycle(s, seeds, 2000)
+            for n in (onset - 1, onset + period // 2 + 1, onset + period + 1, 3000):
+                _check_per_period_sums(s, seeds, n)
+    # cycles that begin before the block they close in (the blocks of
+    # test_a_cycle_that_begins_before_its_block_closes_in_it)
+    for s, rows in ((SIGNED_ZEROS, 243), (SUBNORMALS, 139)):
+        monkeypatch.setattr(de.symbols, "BLOCK_POINTS", rows * len(GRID_25))
+        for n in (rows * 4 + 1, rows * 5 - 1, 3000):
+            _check_per_period_sums(s, GRID_25, n)
+
+
+def test_per_period_sums_see_the_computed_rows_only():
+    # f is evaluated on the rows the engine computes, never on tiled ones
+    for s in (ZSQ, de.Moebius(cmath.exp(0.4j * math.pi), 0, 0, 1)):
+        counting = CountingTestFunction(de.Monomial(2))
+        de.cesaro_final_means(s, counting, GRID_25, 10**6)
+        computed = sum(len(block) for _, block, _ in de.symbols._folded_blocks(s, GRID_25, 10**6))
+        assert counting.rows == computed <= 20, (s, counting.rows)
+
+
+def test_orbit_means_sum_the_points():
+    # the identity, not z**1, is averaged; where orbits do not tile, the
+    # mean is bit for bit the sum of the points of iterate over n
+    for s in (HALF, TANGENT, HYPERBOLIC, PARABOLIC):
+        assert de.symbols._closed_form(s).period is None
+        for n in (5000, 2**14):
+            total = np.sum(de.iterate(s, 0.3 + 0.4j, n).points)
+            want = complex(total.real / n, total.imag / n)
+            got = de.cesaro_orbit_mean(s, 0.3 + 0.4j, n)
+            assert struct.pack("2d", got.real, got.imag) == struct.pack(
+                "2d", want.real, want.imag), (s, n)
 
 
 def test_cesaro_apply_bounds_a_taylor_function_by_its_coefficients():
@@ -692,14 +767,48 @@ def test_near_circle_elliptic_maps_are_not_certified_interior():
     # the circle can classify as InteriorDW, its image-radius bound R below
     # 1 by 1e-7 to 3e-5 and its rounding 1e-5 to 3e-3.  R without its
     # rounding would certify yes/yes on A and Hinf for 6 of these 400 maps,
-    # where an aperiodic rotation is yes/no and no/no.
+    # where an aperiodic rotation is yes/no and no/no.  Every such map also
+    # passes the automorphism test, which no map with an interior attracting
+    # point can: its verdicts name the contradiction and run no experiment.
     rng = np.random.default_rng(20261020)
+    contradictions = 0
     for _ in range(400):
         angle = rng.uniform(0, 2 * math.pi)
         eps = 10 ** rng.uniform(math.log10(2e-6), -1)
         p = complex((1 - eps) * np.exp(1j * rng.uniform(0, 2 * math.pi)))
-        assert not _yes_yes(de.make_automorphism("elliptic", angle=angle, fixed_point=p)), \
-            (angle, p)
+        s = de.make_automorphism("elliptic", angle=angle, fixed_point=p)
+        try:
+            cls = de.classify(s)
+        except de.UnclassifiableError:
+            continue
+        verdicts = [_v(s, space, cls=cls) for space in ("A", "Hinf")]
+        assert all((v.mean_ergodic, v.uniformly_mean_ergodic) != ("yes", "yes")
+                   for v in verdicts), (angle, p)
+        if isinstance(cls, de.InteriorDW) and de.symbols._is_inner(s):
+            contradictions += 1
+            for v in verdicts:
+                assert (v.mean_ergodic, v.uniformly_mean_ergodic) == ("unknown", "unknown"), v
+                notes = [text for key, text in v.evidence if key == "note"]
+                assert len(notes) == 1 and notes[0].startswith("contradiction"), v
+                assert "sup_distance_last" not in dict(v.evidence), v
+    assert contradictions >= 10, contradictions
+
+
+def test_inner_maps_of_higher_degree_stay_interior():
+    # Blaschke products of degree two and more are inner, and their interior
+    # attracting point is real: no contradiction is reported for them
+    want = [("z0", 0j), ("multiplier_modulus", 0.0), ("boundary_periodic_point", 1 + 0j),
+            ("boundary_periodic_period", 1), ("boundary_periodic_residual", 0.0)]
+    for space, tag in (("A", "Thm 3.3 / Remark 3.7"), ("Hinf", "Thm 3.2")):
+        v = _v(ZSQ, space)
+        assert (v.mean_ergodic, v.uniformly_mean_ergodic, v.theorem_tag) == ("no", "no", tag)
+        assert v.evidence == want
+    rng = np.random.default_rng(22)
+    for _ in range(20):
+        s = random_interior_blaschke(rng)
+        assert de.symbols._is_inner(s) and isinstance(de.classify(s), de.InteriorDW), s
+        for space in ("A", "Hinf"):
+            assert not any("contradiction" in str(text) for _, text in _v(s, space).evidence), s
 
 
 def test_near_circle_elliptic_map_within_its_rounding():

@@ -13,6 +13,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import tokenize
 
 import pytest
 
@@ -31,10 +32,23 @@ def test_documented_names_resolve(path):
     assert not missing, f"{path.name} uses names missing from disc_ergodics: {missing}"
 
 
+def _words(path):
+    # the words a file uses: of a module, its tokens other than comments and
+    # the names its def and class statements define; of Markdown, its text
+    if path.suffix != ".py":
+        return set(re.findall(r"\w+", path.read_text(encoding="utf-8")))
+    with path.open("rb") as fh:
+        tokens = list(tokenize.tokenize(fh.readline))
+    return {word for before, token in zip([None] + tokens, tokens)
+            if token.type != tokenize.COMMENT
+            and not (before is not None and before.string in ("def", "class"))
+            for word in re.findall(r"\w+", token.string)}
+
+
 def test_exported_names_have_a_caller():
-    # A name imported into disc_ergodics/__init__.py is used, as a whole word
-    # off its own def or class line, by another module of the package, a
-    # demo, the benchmark or the README; tests alone do not keep it public.
+    # A name imported into disc_ergodics/__init__.py is used in the code of
+    # another module of the package, a demo or the benchmark, or in the
+    # README; tests alone do not keep it public, and comments do not count.
     package = ROOT / "src" / "disc_ergodics"
     init = package / "__init__.py"
     names = [alias.name for node in ast.parse(init.read_text(encoding="utf-8")).body
@@ -42,10 +56,8 @@ def test_exported_names_have_a_caller():
     assert names
     users = [p for p in sorted(package.rglob("*.py")) if p != init] + DOCUMENTED
     users += sorted(ROOT.glob("perfbench/*.py")) + sorted(ROOT.glob("perfbench/*.md"))
-    lines = [line for p in users for line in p.read_text(encoding="utf-8").splitlines()]
-    unused = [name for name in names
-              if not any(re.search(rf"\b{name}\b", line)
-                         and not re.match(rf"\s*(def|class)\s+{name}\b", line) for line in lines)]
+    words = set().union(*map(_words, users))
+    unused = [name for name in names if name not in words]
     assert not unused, f"exported names with no caller outside the tests: {unused}"
 
 
