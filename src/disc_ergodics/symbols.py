@@ -79,11 +79,27 @@ def disc_grid() -> np.ndarray:
     return grid
 
 
-def _horner(coeffs, z):
-    """Evaluate sum coeffs[j] * z**j (ascending order) by Horner's scheme."""
+def _exact_seed(c) -> bool:
+    """Whether c has, at every finite z, the bits of the broadcast c + 0 z:
+    c is a Python complex with no component -0.0, to which 0 z would give
+    the sign of a zero that depends on z."""
+    return (type(c) is complex and (c.real or math.copysign(1.0, c.real) > 0)
+            and (c.imag or math.copysign(1.0, c.imag) > 0))
+
+
+def _horner(coeffs, z, bare=False):
+    """Evaluate sum coeffs[j] * z**j (ascending order) by Horner's scheme.
+
+    ``bare``: start at c[-1] * z + c[-2], without broadcasting c[-1] to the
+    shape of z first.  The caller passes it for two or more coefficients
+    whose last has the bits of that broadcast (``_exact_seed``).  Each
+    product keeps its operand order, acc * z, as numpy's SIMD complex
+    multiply is not commutative in the last bit; so every value is the one
+    the broadcast start gives.
+    """
     if len(coeffs) == 0:
         return 0.0 * z
-    acc = coeffs[-1] + 0.0 * z
+    acc = coeffs[-1] if bare else coeffs[-1] + 0.0 * z
     for c in reversed(coeffs[:-1]):
         acc = acc * z + c
     return acc
@@ -243,6 +259,7 @@ class Blaschke(Symbol):
         for i, a in enumerate(zs):
             if abs(a) >= 1.0:
                 raise SymbolError(f"zeros[{i}] = {a!r} must lie in the open disc")
+        object.__setattr__(self, "_bare", _exact_seed(cmath.exp(1j * self.rotation)))
         self._validate_self_map()
 
     @property
@@ -250,7 +267,14 @@ class Blaschke(Symbol):
         return len(self.zeros)
 
     def __call__(self, z):
-        acc = cmath.exp(1j * self.rotation) + 0.0 * z
+        # As in ``_horner``: the product starts at e^{it} itself when that has
+        # the bits of the broadcast e^{it} + 0 z (``_bare``), and keeps the
+        # operand order acc * (z - a), conj(a) * z of every product, as
+        # numpy's SIMD complex multiply is not commutative in the last bit;
+        # so every value is the one the broadcast start gives.
+        acc = cmath.exp(1j * self.rotation)
+        if not self._bare:
+            acc = acc + 0.0 * z
         for a in self.zeros:
             acc = acc * (z - a) / (1.0 - np.conjugate(a) * z)
         return acc
@@ -296,6 +320,7 @@ class Polynomial(Symbol):
         if not cs:
             raise SymbolError("empty coefficient list")
         object.__setattr__(self, "coeffs", cs)
+        object.__setattr__(self, "_bare", len(cs) > 1 and _exact_seed(cs[-1]))
         self._check_document()
         self._reject_boundary_constant()
         self._validate_self_map()
@@ -308,7 +333,7 @@ class Polynomial(Symbol):
         return len(self.coeffs) - 1
 
     def __call__(self, z):
-        return _horner(self.coeffs, z)
+        return _horner(self.coeffs, z, self._bare)
 
     def _divided_difference(self, zeta):
         quotient = _synthetic_division(self.coeffs, zeta)

@@ -549,6 +549,73 @@ class CountingTestFunction(de.TestFunction):
         return self.f.boundary_sup()
 
 
+def broadcast_horner(coeffs, z):
+    """Reference for ``symbols._horner``: Horner's scheme started from the
+    constant broadcast to the shape of z, c[-1] + 0 z."""
+    if len(coeffs) == 0:
+        return 0.0 * z
+    acc = coeffs[-1] + 0.0 * z
+    for c in reversed(coeffs[:-1]):
+        acc = acc * z + c
+    return acc
+
+
+def broadcast_blaschke(s: de.Blaschke, z):
+    """Reference for ``Blaschke.__call__``: the product started from the
+    rotation broadcast to the shape of z, e^{it} + 0 z."""
+    acc = cmath.exp(1j * s.rotation) + 0.0 * z
+    for a in s.zeros:
+        acc = acc * (z - a) / (1.0 - np.conjugate(a) * z)
+    return acc
+
+
+def _signed_zero_variant(c: complex, kind: int) -> complex:
+    # c itself, or c with one component a zero of either sign
+    return (c, complex(c.real, 0.0), complex(c.real, -0.0), complex(-0.0, c.imag))[kind % 4]
+
+
+def evaluator_cases(rng) -> list:
+    """(evaluator, reference) pairs for every form that ``symbols._horner``
+    and ``Blaschke.__call__`` evaluate: polynomials of degree 0 to 8, Taylor
+    symbols and Taylor test functions, and Blaschke products of degree 1 to
+    4, with rotations 0, -0.0 and random, and a zero at 0 in some.  The
+    coefficients, or zeros, of a case are all complex, all real, all real
+    with imaginary part -0.0, or all imaginary with real part -0.0."""
+    def coefficients(count, kind):
+        cs = np.array([_random_interior(rng, 1.0) for _ in range(count)])
+        cs *= rng.uniform(0.3, 0.9) / np.sum(np.abs(cs))
+        return [_signed_zero_variant(complex(c), kind) for c in cs]
+
+    cases = []
+    for degree in range(9):
+        for kind in range(4):
+            s = de.Polynomial(coefficients(degree + 1, kind))
+            cases.append((s, lambda z, cs=s.coeffs: broadcast_horner(cs, z)))
+    for degree, kind in zip((0, 3, 7, 15), range(4)):
+        for s in (de.Taylor(coefficients(degree + 1, kind)),
+                  de.TaylorFn(coefficients(degree + 1, kind))):
+            cases.append((s, lambda z, cs=s.coeffs: broadcast_horner(cs, z)))
+    for degree in range(1, 5):
+        for kind, rotation in enumerate((0.0, -0.0, rng.uniform(0.0, 2.0 * math.pi))):
+            for first in (0j, _random_interior(rng, 0.7)):
+                zeros = [first] + [_signed_zero_variant(_random_interior(rng, 0.7), kind + degree)
+                                   for _ in range(degree - 1)]
+                s = de.Blaschke(rotation, zeros)
+                cases.append((s, lambda z, s=s: broadcast_blaschke(s, z)))
+    return cases
+
+
+def evaluation_points(rng) -> np.ndarray:
+    """25 points of the closed disc: zeros of every sign, points on the
+    axes with signed zero components, points on the circle and inside it."""
+    special = [complex(x, y) for x in (0.0, -0.0) for y in (0.0, -0.0)]
+    special += [0.5, -0.5, complex(0.5, -0.0), complex(-0.5, -0.0), 1.0, -1.0,
+                complex(0.0, 0.7), complex(-0.0, -0.7), complex(5e-324, -5e-324)]
+    circle = [cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi)) for _ in range(4)]
+    inside = [_random_interior(rng, 1.0) for _ in range(25 - len(special) - len(circle))]
+    return np.array(special + circle + inside)
+
+
 def stepped_orbit(s: de.Symbol, seeds, n: int) -> np.ndarray:
     """n rows of the plain step loop, one seed in Python complex arithmetic
     and several in one array, as ``orbit_blocks`` steps them."""

@@ -10,7 +10,8 @@ import disc_ergodics as de
 from disc_ergodics.symbols import orbit_blocks
 from invariants import (GRID_25, SIGNED_ZEROS, SUBNORMALS, CountingSymbol, CountingTestFunction,
                         check_cesaro_power_boundedness, check_lft_density_certificate,
-                        random_automorphism, random_interior_blaschke, stepped_cycle)
+                        evaluation_points, evaluator_cases, random_automorphism,
+                        random_interior_blaschke, stepped_cycle)
 
 HALF = de.Moebius(1, 0, 0, 2)
 HYPERBOLIC = de.Moebius(2, 1, 1, 2)
@@ -41,6 +42,44 @@ def test_cesaro_tangent_mean_near_one():
     expected = 1.0 - (1.0 - 2.0 ** -(10**4)) / 10**4
     assert abs(trace.final - 1.0) <= 2e-3
     assert trace.final == pytest.approx(expected, abs=1e-10)
+
+
+def test_cesaro_apply_running_means_do_not_drift():
+    # z -> -z with z^2: every term is the same, so the exactly rounded mean
+    # is fsum / n; a single cumsum over the orbit misses it by 1,144, 13,582
+    # and 156,513 units of its last place at these n
+    for n in (10**4, 10**5, 10**6):
+        trace = de.cesaro_apply(MINUS, de.Monomial(2), 0.9 + 0.1j, n)
+        assert trace.partial_means[-1] == trace.final
+        values = de.Monomial(2)(trace.orbit)
+        for part, got in ((values.real, trace.final.real), (values.imag, trace.final.imag)):
+            exact = math.fsum(part.tolist()) / n
+            assert abs(got - exact) <= 2 * math.sqrt(n) * math.ulp(exact), (n, got, exact)
+
+
+def test_monomials_of_arrays():
+    rng = np.random.default_rng(31)
+    inside = np.sqrt(rng.uniform(0.05**2, 1.0, 60)) * np.exp(1j * rng.uniform(0, 7, 60))
+    z = np.concatenate([evaluation_points(rng), inside, np.exp(1j * rng.uniform(0, 7, 40))])
+    for j in (0, 1, 2):
+        for w in (z[7].reshape(()), z, z[:100].reshape(-1, 5)):
+            assert np.asarray(de.Monomial(j)(w)).tobytes() == np.asarray(w ** j).tobytes()
+    # binary powering for j >= 3: within 3 j 2^-53 |z|^j of the power at 40
+    # digits, for 0.05 <= |z| <= 1
+    z = z[np.abs(z) >= 0.05]
+    with mp.workdps(40):
+        w = [mp.mpc(x) for x in z]
+        power = list(w)
+        for j in range(2, 65):
+            power = [p * x for p, x in zip(power, w)]
+            if j < 3:
+                continue
+            value = de.Monomial(j)(z)
+            for got, want, x in zip(value, power, w):
+                bound = 3 * j * 2.0**-53 * float(abs(x)) ** j
+                assert float(abs(got - want)) <= bound, (j, complex(x))
+    assert de.Monomial(5)(z.reshape(-1, 2)).shape == z.reshape(-1, 2).shape
+    assert de.Monomial(5)(0.5j) == 0.5j ** 5
 
 
 def test_cesaro_trace_shape_and_orbit():
@@ -330,6 +369,8 @@ def test_density_sweep_matches_scalar():
     for d in sweep:
         single = de.orbit_density(PARABOLIC, d.z, 1.0, 0.1, 2000)
         assert single.hits == d.hits
+        assert single.estimate == d.estimate == d.hits / 2000
+        assert (type(d.z), type(d.hits), type(d.running_min_ratio)) == (complex, int, float)
         assert single.running_min_ratio == pytest.approx(d.running_min_ratio, abs=1e-12)
 
 
@@ -583,6 +624,14 @@ def test_symbols_evaluate_mpmath_values():
                 value = s(mp.mpc(z))
                 assert isinstance(value, mp.mpc), type(value).__name__
                 assert abs(complex(value) - complex(s(z))) <= 1e-15
+    # and _horner and Blaschke.__call__ give on them the values of the
+    # broadcast start c + 0 z
+    rng = np.random.default_rng(29)
+    points = evaluation_points(rng)[::3]
+    with mp.workdps(60):
+        for s, reference in evaluator_cases(rng):
+            for z in points:
+                assert s(mp.mpc(z)) == reference(mp.mpc(z)), (s, z)
 
 
 def test_half_point_witness_saturates_at_huge_powers():

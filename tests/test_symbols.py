@@ -15,11 +15,14 @@ from invariants import (
     SIGNED_ZEROS,
     SUBNORMALS,
     CountingSymbol,
+    broadcast_horner,
     check_derivative_finite_difference,
     check_engine_matches_stepping,
     check_orbit_closed_form,
     check_schwarz_monotonicity,
     count_iterate_rows,
+    evaluation_points,
+    evaluator_cases,
     stepped_cycle,
     stepped_orbit,
 )
@@ -128,6 +131,29 @@ def test_eval_examples():
     assert complex(ZSQ(0.5)) == pytest.approx(0.25, abs=1e-15)
     assert complex(HALF(1j)) == 0.5j
     assert complex(HYPERBOLIC(1.0)) == pytest.approx(1.0, abs=1e-15)  # (2+1)/(1+2)
+
+
+def _assert_same_bits(value, reference, where):
+    assert type(value) is type(reference), where
+    assert np.shape(value) == np.shape(reference), where
+    assert np.asarray(value).tobytes() == np.asarray(reference).tobytes(), where
+
+
+def test_evaluators_keep_the_bits_of_the_broadcast_start():
+    # _horner and Blaschke.__call__ start from c[-1] and e^{it} themselves,
+    # not from c + 0 z; every value, sign of zero included, must stay that of
+    # the broadcast start, on arrays of every shape and on Python scalars.
+    # Polynomial derivatives evaluate their quotient through _horner too.
+    rng = np.random.default_rng(23)
+    points = evaluation_points(rng)
+    inputs = [points[5].reshape(()), points, points[:16].reshape(4, 4)]
+    inputs += [complex(z) for z in points[:13]]
+    for s, reference in evaluator_cases(rng):
+        for z in inputs:
+            _assert_same_bits(s(z), reference(z), (s, z))
+            if isinstance(s, de.Polynomial):
+                quotient = symbols._synthetic_division(s.coeffs, z)
+                _assert_same_bits(s.derivative(z), broadcast_horner(quotient, z), (s, z))
 
 
 def test_derivative_examples():
