@@ -45,6 +45,7 @@ DW_TOL = 1e-6  # step size at which it stops; Newton polish takes it further
 BOUNDARY_PROXIMITY_TOL = 1e-6
 FIXED_POINT_RESIDUAL_TOL = 1e-8
 PERIOD_SAMPLES = 2048  # equispaced angles that bracket boundary periodic points
+PERIOD_CAP = 8  # longest period boundary_periodic_points searches
 CONTRACTION_GRID = 16  # rings, and angles per ring, of local_contraction_check
 # Degree cap of the fixed-point equation: its zeros take 1-6.5 ms at degree 16,
 # about what a sampled search of such a map takes (3-8 ms), and overflow at 64
@@ -151,7 +152,9 @@ def _double_normal_form(m: Moebius) -> tuple[complex, complex | None, complex]:
 
     (d - a)^2 + 4bc equals tr^2 - 4 det, so a small value relative to |det|
     means a (numerically) parabolic map; below the cancellation noise floor
-    of the sum the split roots carry no information either way.
+    of the sum the split roots carry no information either way.  The
+    midpoint must also be fixed, to FIXED_POINT_RESIDUAL_TOL: a hyperbolic
+    automorphism with multiplier near 1 passes the first test, yet fixes +-1.
     """
     p, q, kappa = _moebius_normal_form(m.a, m.b, m.c, m.d)
     if p is None:
@@ -159,8 +162,10 @@ def _double_normal_form(m: Moebius) -> tuple[complex, complex | None, complex]:
     B, bc = m.d - m.a, m.b * m.c
     noise_floor = 9e-16 * max(abs(B) ** 2, 4.0 * abs(bc))
     if q is not None and abs(B * B + 4.0 * bc) <= max(4e-9 * abs(m.det), noise_floor):
-        p = q = -B / (2.0 * m.c)
-        kappa = 1.0
+        mid = -B / (2.0 * m.c)
+        if abs(m(mid) - mid) <= FIXED_POINT_RESIDUAL_TOL:
+            p = q = mid
+            kappa = 1.0
     return p, q, kappa
 
 
@@ -388,25 +393,29 @@ class BoundaryPeriodicPoint:
 # together.  Three measured fastest; deeper levels evaluate more midpoints
 # than their saved calls are worth.
 BISECTION_DEPTH = 3
+# The PERIOD_SAMPLES equispaced angles t of [0, 2 pi), with e^{it} and e^{-it}
+_SAMPLE_ANGLES = np.linspace(0.0, 2.0 * np.pi, PERIOD_SAMPLES, endpoint=False)
+_SAMPLE_UNITS = np.exp(1j * _SAMPLE_ANGLES), np.exp(-1j * _SAMPLE_ANGLES)
 
 
-def _wrapped_argument_gap(s: Symbol, t: np.ndarray, period) -> np.ndarray:
-    """Wrapped argument gaps arg(phi^k(e^{it}) e^{-it}) in (-pi, pi] along
-    one orbit of the points e^{it}: row k - 1 holds the k-th iterate.
+def _turned_orbit(s: Symbol, units, period) -> np.ndarray:
+    """phi^k(e^{it}) e^{-it} along one orbit of the points e^{it}, given as
+    the pair ``units`` = (e^{it}, e^{-it}): row k - 1 holds the k-th
+    iterate.  Its argument is the wrapped argument gap
+    arg(phi^k(e^{it}) e^{-it}) in (-pi, pi], and its modulus |phi^k(e^{it})|.
 
     Each point is stepped up to its own period (``period``: an int, or an
-    int array shaped like t), longest periods first, and its later rows are
-    nan.
+    int array with one entry per point), longest periods first, and its
+    later rows are nan.
     """
-    period = np.broadcast_to(period, t.shape)
+    period = np.broadcast_to(period, units[0].shape)
     order = np.argsort(-period, kind="stable")
-    live = np.exp(1j * t[order])
-    turn_back = np.exp(-1j * t[order])
-    gaps = np.full((int(period.max()), len(t)), np.nan)
-    for k in range(1, len(gaps) + 1):
+    live, turn_back = units[0][order], units[1][order]
+    turned = np.full((int(period.max()), len(order)), np.nan, dtype=complex)
+    for k in range(1, len(turned) + 1):
         live = s(live[:np.count_nonzero(period >= k)])
-        gaps[k - 1, order[:len(live)]] = np.angle(live * turn_back[:len(live)])
-    return gaps
+        turned[k - 1, order[:len(live)]] = live * turn_back[:len(live)]
+    return turned
 
 
 def _midpoint_tree(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -457,7 +466,13 @@ def boundary_periodic_points(s: Symbol, max_period: int) -> list[BoundaryPeriodi
     changes of the wrapped argument gap arg(phi^p(e^{it})) - t on
     PERIOD_SAMPLES equispaced angles, skipping branch jumps of the wrapped
     argument; exact zeros of the gap are taken as they are.  One orbit of
-    the angles gives the gaps of every period p <= max_period.  The brackets
+    the angles gives the gaps of every period p <= max_period.  A bracket
+    is dropped where no point of it can pass the residual test: for a
+    polynomial symbol, |phi^p(e^{it})| changes at most at the rate L^p,
+    L = sum k |c_k| >= sup |phi'| on the closed disc, so on a bracket of
+    width h it is at most the mean of its two end values plus L^p h/2, and
+    a bracket where that bound is below 1 - 2e-10 is dropped (the other
+    1e-10 covers the rounding of the orbits).  The brackets
     of all periods are bisected together, each for at most 80 levels or
     until it is narrower than 1e-14: one array evaluation of the gap covers
     the next BISECTION_DEPTH levels of every open bracket, which are then
@@ -467,25 +482,32 @@ def boundary_periodic_points(s: Symbol, max_period: int) -> list[BoundaryPeriodi
     where the modulus drops inside the disc (the symbol need not carry the
     circle onto itself).
     """
-    if max_period < 1 or max_period > 8:
-        raise ValueError("max_period must be between 1 and 8")
+    if not 1 <= max_period <= PERIOD_CAP:
+        raise ValueError(f"max_period must be between 1 and {PERIOD_CAP}")
     bound, rounding = _image_radius_bound(s)
     if bound + rounding < 1.0 - 1e-10:
         return []
     found, angles = [], []
-    t = np.linspace(0.0, 2.0 * np.pi, PERIOD_SAMPLES, endpoint=False)
+    t = _SAMPLE_ANGLES
     t_next = np.append(t[1:], 2.0 * np.pi)
-    gaps = _wrapped_argument_gap(s, t, max_period)
+    turned = _turned_orbit(s, _SAMPLE_UNITS, max_period)
+    gaps, moduli = np.angle(turned), np.abs(turned)
     g_next = np.roll(gaps, -1, axis=1)
+    rate = (float(sum(k * abs(c) for k, c in enumerate(s.coeffs)))
+            if isinstance(s, Polynomial) else math.inf)
+    reach = 0.5 * (moduli + np.roll(moduli, -1, axis=1) + rate ** np.arange(
+        1, max_period + 1)[:, None] * (2.0 * np.pi / PERIOD_SAMPLES))
     # brackets in row-major order: by period, then by angle
-    row, col = np.nonzero((gaps * g_next < 0.0) & (np.abs(gaps) + np.abs(g_next) < np.pi))
+    row, col = np.nonzero((gaps * g_next < 0.0) & (np.abs(gaps) + np.abs(g_next) < np.pi)
+                          & ~(reach < 1.0 - 2e-10))
     period, lo, hi, glo = row + 1, t[col], t_next[col], gaps[row, col]
     active, levels = np.arange(len(col)), 0
     while len(active) and levels < 80:
         mids = _midpoint_tree(lo[active], hi[active])
         periods = np.tile(period[active], len(mids))
-        gm_tree = _wrapped_argument_gap(s, mids.ravel(), periods)[
-            periods - 1, np.arange(len(periods))].reshape(mids.shape)
+        units = np.exp(1j * mids.ravel()), np.exp(-1j * mids.ravel())
+        gm_tree = np.angle(_turned_orbit(s, units, periods)[
+            periods - 1, np.arange(len(periods))]).reshape(mids.shape)
         at, node = np.arange(len(active)), np.zeros(len(active), dtype=np.intp)
         for _ in range(min(BISECTION_DEPTH, 80 - levels)):
             idx, mid, gm = active[at], mids[node, at], gm_tree[node, at]
@@ -512,7 +534,7 @@ def _boundary_fixed_points(s: Symbol) -> list[BoundaryPeriodicPoint]:
     if isinstance(s, Polynomial):  # coefficients in descending order
         c = np.polysub(s.coeffs[::-1], [1.0, 0.0])
     elif isinstance(s, Blaschke):
-        c = np.polysub(cmath.exp(1j * s.rotation) * np.poly(s.zeros),
+        c = np.polysub(s._unit * np.poly(s.zeros),
                        np.append(np.poly(np.conj(s.zeros))[::-1], 0.0))
     else:
         return []

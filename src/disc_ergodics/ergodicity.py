@@ -18,7 +18,7 @@ import mpmath as mp
 import numpy as np
 
 from . import dynamics
-from .symbols import (Orbit, Polynomial, Symbol, _closed_form, _exact_seed, _folded_blocks,
+from .symbols import (Orbit, Symbol, _closed_form, _exact_seed, _folded_blocks,
                       _horner, _image_radius_bound, _is_inner, _moebius_image_circle,
                       boundary_points, orbit_blocks)
 from .weighted import VAlpha
@@ -32,7 +32,6 @@ TAG_INTERIOR_A = "Thm 3.3"
 TAG_BOUNDARY_OBSTRUCTION = "Thm 3.3 / Remark 3.7"
 TAG_BOUNDARY_DW = "Thm 3.5"
 TAG_DENSITY = "Thm 3.6(ii)"
-TAG_HYPERBOLIC_LOCAL = "Thm 3.8"
 TAG_LFT = "Prop 3.9"
 TAG_BLASCHKE = "Prop 3.10"
 TAG_WEIGHTED_PERIODIC = "Appendix Thm (i)"
@@ -336,28 +335,6 @@ class DensityEstimate:
 # Relative and absolute rounding margin of the absorption test, a few units
 # of 2**-53 on each of its operations.
 ABSORPTION_ROUNDING = 2.0**-48
-# Rounding of a 40-digit evaluation of a symbol, with room to spare.
-EVAL_ROUNDING_40 = 1e-30
-
-
-def _absorbed(w, dist, delta: float, r: float) -> np.ndarray:
-    """Whether the orbit of each point w, at distance ``dist`` from z0,
-    provably stays in B(z0, r), given a boundary attracting point zeta with
-    |zeta - z0| <= delta.
-
-    The Julia quotient |zeta - w|^2 / (1 - |w|^2) is at most
-    R = (dist + delta)^2 / (1 - |w|^2).  By Julia's lemma the orbit of w
-    stays in the closed horodisc where the quotient is at most R: the disc
-    with centre zeta/(1 + R) and radius R/(1 + R), whose points lie within
-    2R/(1 + R) of zeta, so within 2R/(1 + R) + delta of z0.  That reach is
-    below r when R < t/(2 - t) with t = r - delta, which the test asks with
-    a rounding margin on each side.
-    """
-    t = r / (1.0 + ABSORPTION_ROUNDING) - delta
-    limit = math.inf if t >= 2.0 else t / (2.0 - t) * (1.0 - ABSORPTION_ROUNDING)
-    gap = 1.0 - (w * np.conjugate(w)).real - ABSORPTION_ROUNDING
-    with np.errstate(invalid="ignore"):
-        return (dist + delta) ** 2 * (1.0 + ABSORPTION_ROUNDING) < limit * gap
 
 
 def _lft_absorption(s: Symbol, z0: complex, r: float):
@@ -423,63 +400,35 @@ def _lft_absorption(s: Symbol, z0: complex, r: float):
     return contracting
 
 
-def _visits(s: Symbol, seeds, z0: complex, radii, n: int, delta: float | None = None):
+def _visits(s: Symbol, seeds, z0: complex, radii, n: int):
     """Visits of each seed's orbit to B(z0, r) for each radius r: the hit
     counts and the running minimum of hits(m)/m over m >= n/2, each of shape
     (len(radii), len(seeds)), and the step after which every orbit was
     certified to stay in every ball (None when all n steps were taken).
 
-    Each orbit point is put to the absorption tests for the smallest
-    radius: ``_lft_absorption`` when the symbol is linear-fractional, and
-    ``_absorbed`` when ``delta`` is given.  With delta, z0 is taken as a
-    boundary attracting point of the symbol, within delta of the exact one
-    zeta.  Every step is taken when neither test applies, or when some seed
-    is never absorbed.  Once every seed has had an absorbed point, by step
-    a, each later step hits every ball: hits(n) = hits(a) + n - a, and
-    hits(m)/m = 1 - (a - hits(a))/m is nondecreasing for m > a, so the
-    running minimum over those m is its value at max(a + 1, n/2).  The
-    steps up to a are counted as they are taken; after a, the counts are
-    those of the exact orbit of the point taken at the absorption step.
-
-    Modelling assumption: like the snap rule of ``boundary_gap_witness``,
-    the certificate takes the classification at its word.  The symbol is a
-    self-map of the disc whose Denjoy-Wolff point zeta is the fixed point
-    next to z0, with phi'(zeta) = 1 when the classification says parabolic.
-    ``_attractor_error_bound`` then derives delta >= d = |z0 - zeta| for
-    polynomial and Taylor symbols, whose coefficients bound |phi''| by
-    M2 = sum k(k-1)|c_k| and |phi'''| by M3 = sum k(k-1)(k-2)|c_k| on the
-    closed disc.  Let eps bound |phi(z0) - z0|: its 40-digit value plus
-    that evaluation's rounding.
-
-    - Hyperbolic.  Expanding phi(zeta) - zeta = 0 about z0 gives
-      lam d <= eps + M2 d^2/2, lam = |1 - phi'(z0)|.  Next to z0 means
-      d <= lam/M2, where the quadratic term is at most half the linear
-      one, so d <= 2 eps/lam = delta.
-    - Parabolic.  Expanding phi(z0) - z0 about zeta, where phi'(zeta) = 1,
-      gives |phi''(zeta)| d^2/2 <= eps + M3 d^3/6, and
-      |phi''(zeta)| >= c - M3 d with c = |phi''(z0)|.  Next to z0 means
-      d <= 3c/(8 M3), where (c/4) d^2 <= eps, so d <= 2 sqrt(eps/c) = delta.
-
-    There is no delta, and every step is taken, for other symbols and when
-    delta itself is not next to z0 in this sense.
+    When the symbol is linear-fractional, each orbit point is put to the
+    absorption test ``_lft_absorption`` for the smallest radius.  Every step
+    is taken when the test does not apply, or when some seed is never
+    absorbed.  Once every seed has had an absorbed point, by step a, each
+    later step hits every ball: hits(n) = hits(a) + n - a, and hits(m)/m =
+    1 - (a - hits(a))/m is nondecreasing for m > a, so the running minimum
+    over those m is its value at max(a + 1, n/2).  The steps up to a are
+    counted as they are taken; after a, the counts are those of the exact
+    orbit of the point taken at the absorption step.
     """
     radii = np.asarray(radii, dtype=float)[:, None, None]
     bad = radii[~((radii > 0.0) & (radii < math.inf))]
     if bad.size:
         raise ValueError(f"radius must be finite and positive, got {bad[0]:g}")
-    r_min = float(radii.min())
-    tests = [] if delta is None else [lambda w, dist: _absorbed(w, dist, delta, r_min)]
-    exact = _lft_absorption(s, complex(z0), r_min)
-    if exact is not None:
-        tests.append(lambda w, dist: exact(w))
+    absorption = _lft_absorption(s, complex(z0), float(radii.min()))
     hits, min_ratio = 0, np.inf
     absorbed_by = np.zeros(np.size(seeds), dtype=bool)
     for m0, block in orbit_blocks(s, seeds, n):
         m = np.arange(m0 + 1, m0 + len(block) + 1)
         dist = np.abs(block - z0)
         rows = None
-        if tests:
-            absorbed = np.logical_or.reduce([test(block, dist) for test in tests])
+        if absorption is not None:
+            absorbed = absorption(block)
             now = absorbed.any(axis=0)
             if np.all(absorbed_by | now):
                 # the row of the block where the last seed was absorbed
@@ -498,28 +447,6 @@ def _visits(s: Symbol, seeds, z0: complex, radii, n: int, delta: float | None = 
                 hits = hits + (n - a)
             return hits[:, 0], min_ratio, a if a < n else None
     return hits[:, 0], min_ratio, None
-
-
-def _attractor_error_bound(s: Symbol, cls) -> float | None:
-    """delta for ``_visits`` at a classified boundary attracting point, or
-    None; the derivation is in ``_visits``."""
-    if not isinstance(s, Polynomial):
-        return None
-    with mp.workdps(40):
-        z0 = mp.mpc(complex(cls.z0))
-        eps = float(abs(s(z0) - z0)) + EVAL_ROUNDING_40
-        lam = float(abs(1 - s.derivative(z0)))
-        c = float(abs(sum(k * (k - 1) * a * z0 ** (k - 2)
-                          for k, a in enumerate(s.coeffs) if k >= 2)))
-    if isinstance(cls, dynamics.ParabolicDW):
-        m3 = sum(k * (k - 1) * (k - 2) * abs(a) for k, a in enumerate(s.coeffs))
-        if c == 0.0:
-            return None
-        delta = 2.0 * math.sqrt(eps / c)
-        return delta if m3 * delta <= 0.375 * c else None
-    m2 = sum(k * (k - 1) * abs(a) for k, a in enumerate(s.coeffs))
-    delta = 2.0 * eps / lam
-    return delta if m2 * delta <= lam else None
 
 
 def orbit_density(s: Symbol, z: complex, z0: complex, radius: float,
@@ -751,17 +678,8 @@ def _json_value(value):
 
 
 # Budgets of the numerical evidence; ``verdict`` says what each one counts.
-DENSITY_N = 10**5
-DENSITY_SEEDS = 32
-DENSITY_RADIUS = 0.02
 SUP_NORM_N = 40
 MAX_PERIOD = 3
-# Density-evidence margins: a numerical yes needs a certified run or every
-# seed's estimate at or above DENSITY_YES; a no needs a seed whose
-# running minimum ratio stays at or below DENSITY_NO over the second half.
-# In between: unknown.
-DENSITY_YES = 0.999
-DENSITY_NO = 0.9
 SUP_DECAY_DECISIVE = 0.2
 
 
@@ -868,7 +786,7 @@ def _boundary_verdict(s: Symbol, space: str, cls) -> ErgodicityVerdict:
         return ErgodicityVerdict(space, UNKNOWN, UNKNOWN, TAG_BOUNDARY_DW, evidence)
     # Disc algebra: uniform mean ergodicity always fails at a boundary
     # attracting point; mean ergodicity follows the exact dichotomies for
-    # Moebius and inner symbols (``_is_inner``), the density experiment otherwise.
+    # Moebius and inner symbols (``_is_inner``), the contact set otherwise.
     inner = _is_inner(s)
     mo = dynamics._as_moebius(s)
     if mo is not None:
@@ -885,39 +803,27 @@ def _boundary_verdict(s: Symbol, space: str, cls) -> ErgodicityVerdict:
         evidence.append(("blaschke_degree", s.degree))
         return ErgodicityVerdict(space, NO, NO,
                                  f"{TAG_BLASCHKE} + {TAG_BOUNDARY_DW}", evidence)
-    # Generic route.  A boundary periodic point away from z0 blocks mean
-    # ergodicity outright; otherwise the orbit-density experiment decides.
-    periodic_pts = dynamics.boundary_periodic_points(s, MAX_PERIOD)
-    others = [bp for bp in periodic_pts if abs(bp.point - z0) > 1e-6]
+    # Generic route: a polynomial of degree d >= 2 that is not inner.  Points
+    # of the disc tend to z0, and so do points of the circle that phi maps
+    # into the disc.  The others stay in the contact set {|phi| = 1}, the
+    # double zeros of the trigonometric polynomial 1 - |phi|^2 of degree d:
+    # at most d points, z0 among them.  So every orbit converges unless a
+    # cycle other than z0, of period at most d - 1, lies on the circle, and
+    # pointwise convergence of the bounded Cesaro means is weak convergence
+    # in A (Rainwater), hence norm convergence (Yosida-Eberlein).
+    tag = f"{TAG_DENSITY} + {TAG_BOUNDARY_DW}"
+    needed = s.degree - 1
+    searched = min(needed, dynamics.PERIOD_CAP)
+    others = [bp for bp in dynamics.boundary_periodic_points(s, searched)
+              if abs(bp.point - z0) > 1e-6]
     if others:
         evidence.append(("boundary_periodic_point", others[0].point))
-        return ErgodicityVerdict(space, NO, NO,
-                                 f"{TAG_DENSITY} + {TAG_BOUNDARY_DW}", evidence)
-    if not parabolic:
-        contraction = dynamics.local_contraction_check(s, z0, 0.1)
-        evidence.append(("local_contraction_rho", contraction.rho))
-        evidence.append(("local_contraction_note",
-                         f"{TAG_HYPERBOLIC_LOCAL} applies if the symbol extends "
-                         "holomorphically past z0 (assumed, not verified)"))
-    # The orbits stop once a horodisc certificate covers their remainder.
-    delta = _attractor_error_bound(s, cls)
-    hits, min_ratios, certified_step = _visits(
-        s, _boundary_seeds(z0, DENSITY_SEEDS), complex(z0), [DENSITY_RADIUS], DENSITY_N, delta)
-    min_estimate = float(hits.min()) / DENSITY_N
-    min_ratio = float(min_ratios.min())
-    evidence.append(("density_min_estimate", min_estimate))
-    evidence.append(("density_min_running_ratio", min_ratio))
-    evidence.append(("density_n", DENSITY_N))
-    evidence.append(("attractor_error_bound", delta))
-    evidence.append(("density_certified_step", certified_step))
-    tag = f"{TAG_DENSITY} + {TAG_BOUNDARY_DW}"
-    # certified: every orbit stays in the ball, so the lower density is 1
-    if certified_step is not None or min_estimate >= DENSITY_YES:
-        return ErgodicityVerdict(space, YES, NO, tag, evidence)
-    if min_ratio <= DENSITY_NO:
         return ErgodicityVerdict(space, NO, NO, tag, evidence)
-    evidence.append(("note", "density evidence between the decisive margins"))
-    return ErgodicityVerdict(space, UNKNOWN, NO, tag, evidence)
+    evidence.append(("boundary_period_searched", searched))
+    if searched < needed:
+        evidence.append(("note", f"cycles of period above {searched} were not searched"))
+        return ErgodicityVerdict(space, UNKNOWN, NO, tag, evidence)
+    return ErgodicityVerdict(space, YES, NO, tag, evidence)
 
 
 def verdict(s: Symbol, space: str, weight=None,
@@ -929,21 +835,19 @@ def verdict(s: Symbol, space: str, weight=None,
     rotations are mean ergodic on the disc algebra but not uniformly, and not
     mean ergodic on the bounded functions; boundary attracting points are
     never uniformly mean ergodic, with the exact Moebius/Blaschke
-    dichotomies and the orbit-density experiment deciding mean ergodicity.
+    dichotomies and the contact set deciding mean ergodicity.
 
-    Two certificates come before the experiments they replace.  At an
-    interior attracting point, an image-radius bound R (exact for Moebius
-    maps, sum |c_k| for polynomial and Taylor symbols) that lies below
-    1 - 1e-10 with its rounding added proves uniform convergence
+    At an interior attracting point, an image-radius bound R (exact for
+    Moebius maps, sum |c_k| for polynomial and Taylor symbols) that lies
+    below 1 - 1e-10 with its rounding added proves uniform convergence
     phi^n -> z0 and gives yes/yes with evidence ``image_radius_bound``, R
-    itself; otherwise a boundary periodic point obstructs
-    (a fixed point read from phi(z) = z, else one the sampled search finds),
-    or sup-norm decay of the iterates decides.  On the density route, the
-    orbits stop once Julia's lemma keeps the rest of each of them in the
-    ball (``_visits``), which answers yes; the evidence names that step,
-    ``density_certified_step`` (null when every step was taken), and the
-    bound ``attractor_error_bound`` on the error of z0 that the certificate
-    allowed for (null, with every step taken, where none is derived).
+    itself; otherwise a boundary periodic point obstructs (a fixed point
+    read from phi(z) = z, else one the sampled search finds), or sup-norm
+    decay of the iterates decides.  At a boundary attracting point of a
+    polynomial of degree d that is not inner, a boundary cycle other than
+    z0, of period at most d - 1, answers no on A; none answers yes, with
+    evidence ``boundary_period_searched``, and unknown where d - 1 exceeds
+    ``dynamics.PERIOD_CAP`` and the search stops there.
     A degree-one symbol classified with an interior attracting point that
     also passes the automorphism test (``symbols._is_inner``) contradicts
     itself: it answers unknown/unknown, with a note naming the
@@ -952,10 +856,10 @@ def verdict(s: Symbol, space: str, weight=None,
     given, is the symbol's ``dynamics.classify`` result and saves
     classifying it again.
 
-    Budgets, all module constants, none set by a caller: DENSITY_N steps of
-    DENSITY_SEEDS boundary seeds for the ball B(z0, DENSITY_RADIUS);
-    SUP_NORM_N iterates of ``symbols.disc_grid``; boundary periodic points
-    up to MAX_PERIOD.
+    Budgets, all module constants, none set by a caller: SUP_NORM_N
+    iterates of ``symbols.disc_grid``; boundary periodic points up to
+    MAX_PERIOD at an interior attracting point, and up to d - 1 but at
+    most ``dynamics.PERIOD_CAP`` at a boundary one.
     """
     if space not in SPACES:
         raise ValueError(f"space must be one of {SPACES}")

@@ -259,7 +259,8 @@ class Blaschke(Symbol):
         for i, a in enumerate(zs):
             if abs(a) >= 1.0:
                 raise SymbolError(f"zeros[{i}] = {a!r} must lie in the open disc")
-        object.__setattr__(self, "_bare", _exact_seed(cmath.exp(1j * self.rotation)))
+        object.__setattr__(self, "_unit", cmath.exp(1j * self.rotation))  # e^{i rotation}
+        object.__setattr__(self, "_bare", _exact_seed(self._unit))
         self._validate_self_map()
 
     @property
@@ -272,7 +273,7 @@ class Blaschke(Symbol):
         # operand order acc * (z - a), conj(a) * z of every product, as
         # numpy's SIMD complex multiply is not commutative in the last bit;
         # so every value is the one the broadcast start gives.
-        acc = cmath.exp(1j * self.rotation)
+        acc = self._unit
         if not self._bare:
             acc = acc + 0.0 * z
         for a in self.zeros:
@@ -283,7 +284,7 @@ class Blaschke(Symbol):
         # Product rule for divided differences: B[zeta, z] =
         # e^{i t} sum_j prod_{i<j} b_i(z) * b_j[zeta, z] * prod_{i>j} b_i(zeta),
         # b_j[zeta, z] = (1 - |a_j|^2) / ((1 - conj(a_j) zeta)(1 - conj(a_j) z)).
-        weights, tail = [], cmath.exp(1j * self.rotation)
+        weights, tail = [], self._unit
         for a in reversed(self.zeros):
             den = 1.0 - a.conjugate() * zeta
             weights.append(tail * (1.0 - abs(a) ** 2) / den)
@@ -330,7 +331,11 @@ class Polynomial(Symbol):
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        """The index of the last nonzero coefficient; trailing zeros do not count."""
+        d = len(self.coeffs) - 1
+        while d > 0 and self.coeffs[d] == 0:
+            d -= 1
+        return d
 
     def __call__(self, z):
         return _horner(self.coeffs, z, self._bare)
@@ -542,15 +547,10 @@ def _as_moebius(s: Symbol) -> Moebius | None:
     if "_moebius" not in s.__dict__:
         form = None
         if isinstance(s, Blaschke) and s.degree == 1:
-            rot = cmath.exp(1j * s.rotation)
             a = s.zeros[0]
-            form = Moebius._unchecked(rot, -rot * a, -a.conjugate(), 1.0)
-        elif isinstance(s, Polynomial):
-            cs = list(s.coeffs)
-            while cs and abs(cs[-1]) == 0.0:
-                cs.pop()
-            if len(cs) == 2:
-                form = Moebius._unchecked(cs[1], cs[0], 0.0, 1.0)
+            form = Moebius._unchecked(s._unit, -s._unit * a, -a.conjugate(), 1.0)
+        elif isinstance(s, Polynomial) and s.degree == 1:
+            form = Moebius._unchecked(s.coeffs[1], s.coeffs[0], 0.0, 1.0)
         s.__dict__["_moebius"] = form
     return s.__dict__["_moebius"]
 

@@ -17,6 +17,14 @@ import disc_ergodics as de
 from disc_ergodics.dynamics import FIXED_POINT_RESIDUAL_TOL
 
 SEED = 20240613
+# Coefficients of boundary-attracting polynomials decided at the cost of
+# their period search (acceptance criteria 12 and 24): a nonlinear
+# contraction toward 1, and the two of the benchmark's orbit_sweeps
+# workload at seed 1
+CRITERION_12_POLYNOMIALS = (
+    [0.19, 0.8, 0.01],
+    [0.38709096345752936, 0.4978626669098771, 0.11504636963259353],
+    [0.49103519779211974, 0.41983567912134206, 0.05118314520104854, 0.03794597788548976])
 
 
 def _random_interior(rng, radius=0.95):
@@ -367,68 +375,6 @@ def _boundary_attracting_polynomial(rng, parabolic: bool) -> de.Polynomial:
     return de.Polynomial([c * u ** (1 - j) for j, c in enumerate(coeffs)])
 
 
-def _boundary_attracting_blaschke(rng, parabolic: bool) -> de.Blaschke:
-    # A zero a with (1 - |a|^2)/|1 - a|^2 = b_j lies on the horocycle at 1
-    # with centre b_j/(1 + b_j) and radius 1/(1 + b_j); with
-    # e^{it} = prod (1 - conj a)/(1 - a) the product fixes 1, where its
-    # angular derivative is sum b_j: 1, or below 1.
-    degree = int(rng.integers(2, 4))
-    shares = rng.uniform(0.2, 1.0, degree)
-    shares *= (1.0 if parabolic else rng.uniform(0.3, 0.95)) / shares.sum()
-    zeros = [b / (1 + b) + cmath.exp(1j * rng.uniform(0.5, 2 * math.pi - 0.5)) / (1 + b)
-             for b in shares]
-    rotation = sum(-2.0 * cmath.phase(1 - a) for a in zeros)
-    return de.Blaschke(rotation, zeros)
-
-
-def check_density_certificate(cases: int = 100) -> int:
-    """Visit counts and running minima with the horodisc certificate equal
-    those of full stepping, bit for bit.
-
-    Symbols: boundary-attracting polynomials, hyperbolic and parabolic,
-    some rotated, and Blaschke products of degree 2 and 3 with a boundary
-    attracting point, plus (1 + z^2)/2.  Seeds on the circle and inside the
-    disc.  delta is the verdict's for the polynomials; for a Blaschke
-    product, which has no coefficient bound, it is set by hand.
-    """
-    rng = np.random.default_rng(SEED + 7)
-    certified = 0
-    for case in range(cases):
-        pick = rng.integers(0, 4)
-        if case == 0:
-            s = de.Polynomial([0.5, 0.0, 0.5])
-        elif pick < 2:
-            s = _boundary_attracting_polynomial(rng, parabolic=pick == 1)
-        else:
-            s = _boundary_attracting_blaschke(rng, parabolic=pick == 3)
-        cls = de.classify(s)
-        assert isinstance(cls, (de.HyperbolicDW, de.ParabolicDW)), (s, cls)
-        if isinstance(s, de.Blaschke):
-            # the product fixes 1 up to the rounding of its zeros and
-            # rotation; at a parabolic point that moves the fixed point, and
-            # the classified z0, by up to about 3e-7 (300 products)
-            delta = 1e-5
-        else:
-            delta = de.ergodicity._attractor_error_bound(s, cls)
-            assert delta is not None, s
-        count = int(rng.integers(1, 17))
-        seeds = np.exp(2j * np.pi * (np.arange(count) + 0.5) / count) * cls.z0
-        # a Blaschke product keeps the circle, where no orbit is certified
-        inner = slice(None) if isinstance(s, de.Blaschke) else slice(None, None, 2)
-        seeds[inner] *= rng.uniform(0.0, 1.0, seeds[inner].shape)
-        radii = sorted(rng.choice([0.5, 0.2, 0.1, 0.05, 0.02], int(rng.integers(1, 4)),
-                                  replace=False))
-        n = int(10.0 ** rng.uniform(0.0, 3.5))
-        full = de.ergodicity._visits(s, seeds, cls.z0, radii, n)
-        fast = de.ergodicity._visits(s, seeds, cls.z0, radii, n, delta)
-        assert full[2] is None, s
-        assert np.array_equal(full[0], fast[0]), (s, seeds, radii, n, fast[2])
-        assert np.array_equal(full[1], fast[1]), (s, seeds, radii, n, fast[2])
-        certified += fast[2] is not None
-    assert certified >= cases // 4, certified
-    return cases
-
-
 def reference_visits(s: de.Symbol, seeds, z0: complex, radii, n: int):
     """Hit counts and running minima of hits(m)/m over m >= n/2, shaped
     (len(radii), len(seeds)), from every row of ``orbit_blocks``."""
@@ -773,7 +719,6 @@ ALL_CHECKS = {
     "boundary_periodic_points": check_boundary_periodic_points,
     "boundary_fixed_points": check_boundary_fixed_points,
     "orbit_closed_form": check_orbit_closed_form,
-    "density_certificate": check_density_certificate,
     "lft_density_certificate": check_lft_density_certificate,
     "orbit_early_exit": check_orbit_early_exit,
     "inner_predicate": check_inner_predicate,

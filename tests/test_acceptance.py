@@ -204,17 +204,13 @@ def test_criterion_11_invariant_suites():
 
 def test_criterion_12_certificates_before_experiments():
     t0 = time.perf_counter()
-    steps = []
-    # a nonlinear contraction toward 1, and the two boundary-attracting
-    # polynomials of the benchmark's orbit_sweeps workload at seed 1
-    for coeffs in ([0.19, 0.8, 0.01],
-                   [0.38709096345752936, 0.4978626669098771, 0.11504636963259353],
-                   [0.49103519779211974, 0.41983567912134206, 0.05118314520104854,
-                    0.03794597788548976]):
+    searched = []
+    # no boundary cycle besides 1 among the periods up to d - 1
+    for coeffs in invariants.CRITERION_12_POLYNOMIALS:
         v = de.verdict(de.Polynomial(coeffs), "A")
         assert (v.mean_ergodic, v.uniformly_mean_ergodic) == ("yes", "no")
-        steps.append(dict(v.evidence)["density_certified_step"])
-        assert steps[-1] is not None
+        searched.append(dict(v.evidence)["boundary_period_searched"])
+    assert searched == [1, 1, 2]
     z_half = de.gallery_symbol("z_half")
     for space in ("A", "Hinf"):
         v = de.verdict(z_half, space)
@@ -225,7 +221,7 @@ def test_criterion_12_certificates_before_experiments():
     v = de.verdict(de.Polynomial([0.3, 0.5, -0.3]), "A")
     assert "sup_distance_last" in dict(v.evidence)
     _report(12, "certificates before experiments", elapsed, 0.25,
-            f"density certified at steps {steps}")
+            f"boundary periods searched up to {searched}")
 
 
 def test_criterion_13_report_writing(tmp_path):
@@ -482,3 +478,38 @@ def test_criterion_23_tiled_sums_do_not_grow_with_n():
     _report(23, "tiled sums do not grow with n", sum(elapsed), 0.1,
             f"n = 10^9 in {elapsed[0] * 1e3:.2f} and {elapsed[1] * 1e3:.2f} ms; "
             f"sums off by {worst:.2g}")
+
+
+def _best_verdict(coeffs, space="A", repeats=5):
+    # the verdict of a freshly built symbol, with the least time of the repeats
+    times = []
+    for _ in range(repeats):
+        s = de.Polynomial(coeffs)
+        t0 = time.perf_counter()
+        v = de.verdict(s, space)
+        times.append(time.perf_counter() - t0)
+    return v, min(times)
+
+
+def test_criterion_24_boundary_attracting_polynomials_decided_from_their_cycles():
+    # (1 + z^2)/2 touches the circle at 1 and -1, and -1 -> 1; ((1 + z)/2)^2
+    # only at 1: both mean ergodic, never uniformly, without an orbit run
+    half, t_half = _best_verdict([0.5, 0.0, 0.5])
+    square, _ = _best_verdict([0.25, 0.5, 0.25])
+    for v in (half, square):
+        assert (v.mean_ergodic, v.uniformly_mean_ergodic) == ("yes", "no")
+        assert v.theorem_tag == "Thm 3.6(ii) + Thm 3.5"
+    assert t_half < 0.005, t_half
+    times = []
+    for coeffs in invariants.CRITERION_12_POLYNOMIALS:
+        v, elapsed = _best_verdict(coeffs)
+        assert (v.mean_ergodic, v.uniformly_mean_ergodic) == ("yes", "no")
+        times.append(elapsed)
+    assert max(times) < 0.0005, times
+    # a second boundary fixed point, at -1, blocks mean ergodicity
+    v, _ = _best_verdict([0.2, 0.85, -0.2, 0.15], repeats=1)
+    assert (v.mean_ergodic, v.uniformly_mean_ergodic) == ("no", "no")
+    _report(24, "boundary attracting polynomials decided from their cycles",
+            t_half + sum(times), None,
+            f"(1 + z^2)/2 in {t_half * 1e3:.2f} ms, criterion-12 polynomials in "
+            + ", ".join(f"{t * 1e3:.2f}" for t in times) + " ms")

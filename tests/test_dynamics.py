@@ -479,7 +479,7 @@ def test_boundary_periodic_points_skip_maps_into_smaller_disc(s, monkeypatch):
     def no_sampling(*args):
         raise AssertionError("sampled a symbol whose image misses the circle")
 
-    monkeypatch.setattr(dynamics, "_wrapped_argument_gap", no_sampling)
+    monkeypatch.setattr(dynamics, "_turned_orbit", no_sampling)
     assert de.boundary_periodic_points(s, 8) == []
     # the search samples through the patched name: a symbol that reaches the
     # circle does

@@ -8,7 +8,8 @@ import pytest
 
 import disc_ergodics as de
 from disc_ergodics.symbols import orbit_blocks
-from invariants import (GRID_25, SIGNED_ZEROS, SUBNORMALS, CountingSymbol, CountingTestFunction,
+from invariants import (CRITERION_12_POLYNOMIALS, GRID_25, SIGNED_ZEROS, SUBNORMALS,
+                        CountingSymbol, CountingTestFunction,
                         check_cesaro_power_boundedness, check_lft_density_certificate,
                         evaluation_points, evaluator_cases, random_automorphism,
                         random_interior_blaschke, stepped_cycle)
@@ -419,87 +420,8 @@ def test_lft_absorbed_orbits_stay_in_the_ball(s, z0):
         assert np.all(np.abs(form.iterates(w[absorbed], steps) - z0) < r)
 
 
-# ---------------------------------------------------------------------------
-# horodisc certificate of the density route
-
-def _horodisc_reach(zeta, z0, w):
-    """Largest distance from z0 to the closed horodisc at zeta through w."""
-    R = abs(zeta - w) ** 2 / (1.0 - abs(w) ** 2)
-    return abs(z0 - zeta / (1.0 + R)) + R / (1.0 + R)
-
-
-def _absorbed(w, z0, delta, r):
-    w = np.asarray(w, dtype=complex)
-    return de.ergodicity._absorbed(w, np.abs(w - z0), delta, r)
-
-
-@pytest.mark.parametrize("zeta", [1.0, -1.0, 1j])
-def test_absorption_rejects_the_horodisc_far_point(zeta):
-    # zeta (1 - R)/(1 + R) lies on the horocycle, 2R/(1 + R) from zeta
-    for R in (0.5, 0.01, 1e-4, 1e-8):
-        reach = 2.0 * R / (1.0 + R)
-        far = zeta * (1.0 - R) / (1.0 + R)
-        assert not _absorbed([far], zeta, 0.0, reach)[0], R
-        inner = zeta * (1.0 - R / 4) / (1.0 + R / 4)
-        assert _absorbed([inner], zeta, 0.0, reach)[0], R
-        assert not _absorbed([inner], zeta, reach, reach)[0], R
-
-
-def test_absorption_holds_with_a_planted_attractor_error():
-    # z0 misses zeta = 1 by delta/2: an absorbed point's horodisc about the
-    # true zeta must lie in B(z0, r)
-    rng = np.random.default_rng(5)
-    delta, r = 2e-3, 0.02
-    z0 = cmath.exp(2j * math.asin(delta / 4))
-    assert abs(abs(z0 - 1.0) - delta / 2) <= 1e-15
-    offsets = rng.uniform(0.0, 0.05, 4000) * np.exp(1j * rng.uniform(-1.5, 1.5, 4000))
-    radial = 1.0 - np.logspace(-9, -2, 200)  # absorbed if delta were dropped
-    w = np.concatenate([z0 * (1.0 - offsets), z0 * radial])
-    absorbed = _absorbed(w, z0, delta, r)
-    assert absorbed.sum() >= 100
-    for point in w[absorbed]:
-        assert _horodisc_reach(1.0, z0, point) < r, point
-    assert not _absorbed(z0 * (1.0 - 1e-6), z0, delta, r)
-
-
-def test_density_certificate_matches_full_stepping():
-    circle = de.ergodicity._boundary_seeds(1.0, 16)
-    half = de.Polynomial([0.5, 0.0, 0.5])
-    # (1 + z^2)/2 sends the circle's -1 + 1.2e-16i to 1 - 1.2e-16i, which it
-    # fixes bit for bit, on the circle, where no horodisc certifies it:
-    # every step is taken; seeds offset by half a step are certified
-    for s, seeds, certified in ((de.Polynomial([0.19, 0.8, 0.01]), circle, True),
-                                (de.Polynomial([0.25, 0.5, 0.25]), circle, True),
-                                (half, circle * cmath.exp(1j * math.pi / 16), True),
-                                (half, circle, False)):
-        cls = de.classify(s)
-        delta = de.ergodicity._attractor_error_bound(s, cls)
-        for n in (1, 7, 300, 5000):
-            full = de.ergodicity._visits(s, seeds, cls.z0, (0.5, 0.1, 0.02), n)
-            fast = de.ergodicity._visits(s, seeds, cls.z0, (0.5, 0.1, 0.02), n, delta)
-            assert np.array_equal(full[0], fast[0]) and np.array_equal(full[1], fast[1])
-            assert fast[2] is None or fast[2] < n
-        assert (fast[2] is not None) == certified, s
-
-
 def test_lft_density_certificate_matches_every_row():
     assert check_lft_density_certificate(100) >= 100
-
-
-def test_attractor_error_bound_checks_its_hypothesis():
-    # parabolic at 1: phi''(1) = 1.4, and |phi'''| <= 1.2 on the closed disc
-    cubic = de.Polynomial([0.5, 0.2, 0.1, 0.2])
-    cls = de.classify(cubic)
-    assert isinstance(cls, de.ParabolicDW)
-    assert 0.0 < de.ergodicity._attractor_error_bound(cubic, cls) < 1e-7
-    # taken at 0.05 from the fixed point, the derived delta is still next to
-    # it; at 0.5 it reaches past where the cubic term is small
-    near = de.ergodicity._attractor_error_bound(cubic, de.ParabolicDW(cmath.exp(0.05j), 1.0))
-    assert 0.05 <= near < 0.1
-    assert de.ergodicity._attractor_error_bound(cubic, de.ParabolicDW(cmath.exp(0.5j), 1.0)) is None
-    # no coefficient bound for a Blaschke product
-    blaschke = de.Blaschke(0.0, [0.5, -0.5])
-    assert de.ergodicity._attractor_error_bound(blaschke, de.HyperbolicDW(1.0, 0.5)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -777,7 +699,7 @@ def test_verdict_conjugated_hyperbolic_near_the_circle():
 
 
 def test_verdict_generic_boundary_routes():
-    # nonlinear global contraction toward 1: density evidence says yes
+    # nonlinear global contraction toward 1, with no other boundary cycle
     s = de.Polynomial([0.19, 0.8, 0.01])
     v = _v(s, "A")
     assert v.mean_ergodic == "yes" and v.uniformly_mean_ergodic == "no"
@@ -787,6 +709,84 @@ def test_verdict_generic_boundary_routes():
     vb = _v(b, "A")
     assert (vb.mean_ergodic, vb.uniformly_mean_ergodic) == ("no", "no")
     assert "Prop 3.10" in vb.theorem_tag
+
+
+def test_verdict_generic_boundary_route_reads_the_cycles():
+    # Denjoy-Wolff point 1, phi'(1) = 0.9; phi also fixes -1, phi'(-1) = 1.7,
+    # a second point of the contact set whose orbit never reaches 1
+    v = _v(de.Polynomial([0.2, 0.85, -0.2, 0.15]), "A")
+    assert (v.mean_ergodic, v.uniformly_mean_ergodic) == ("no", "no")
+    assert v.theorem_tag == "Thm 3.6(ii) + Thm 3.5"
+    assert abs(dict(v.evidence)["boundary_periodic_point"] + 1.0) <= 1e-10
+    # trailing zero coefficients do not raise the period bound d - 1
+    for coeffs in ([0.5, 0.0, 0.5], [0.5, 0.0, 0.5, 0.0, 0.0]):
+        s = de.Polynomial(coeffs)
+        assert s.degree == 2
+        v = _v(s, "A")
+        assert (v.mean_ergodic, v.uniformly_mean_ergodic) == ("yes", "no")
+        assert dict(v.evidence)["boundary_period_searched"] == 1
+
+
+def test_verdict_generic_boundary_route_beyond_the_period_cap():
+    # degree 12, d - 1 = 11 > PERIOD_CAP: cycles of period 9 to 11 are not
+    # searched, so the mean answer is open; the uniform one is not
+    s = de.Polynomial([0.9, 0.05] + [0.0] * 10 + [0.05])
+    assert isinstance(de.classify(s), de.HyperbolicDW) and s.degree == 12
+    v = _v(s, "A")
+    assert (v.mean_ergodic, v.uniformly_mean_ergodic) == ("unknown", "no")
+    evidence = dict(v.evidence)
+    assert evidence["boundary_period_searched"] == de.dynamics.PERIOD_CAP == 8
+    assert evidence["note"] == "cycles of period above 8 were not searched"
+    assert v.theorem_tag == "Thm 3.6(ii) + Thm 3.5"
+
+
+def test_verdict_weighted_spaces_stay_open_off_rotations():
+    elliptic = de.make_automorphism("elliptic", angle=1.0, fixed_point=0.3)
+    for space in ("Hv", "Hv0"):
+        v = _v(elliptic, space)
+        assert (v.mean_ergodic, v.uniformly_mean_ergodic) == ("unknown", "unknown")
+        assert "rotations about 0 only" in dict(v.evidence)["note"]
+    v = _v(ROT_GOLDEN, "Hv")
+    assert (v.mean_ergodic, v.uniformly_mean_ergodic) == ("unknown", "unknown")
+    assert dict(v.evidence)["note"] == "decided only for the adapted v_alpha weight"
+
+
+def test_verdicts_run_no_orbit_experiment(monkeypatch):
+    def no_experiment(*args, **kwargs):
+        raise AssertionError("verdict ran the visit-density experiment")
+
+    monkeypatch.setattr(de.ergodicity, "_visits", no_experiment)
+    for name in de.GALLERY_NAMES:
+        for space in de.ergodicity.SPACES:
+            assert _v(de.gallery_symbol(name), space).space == space
+    for coeffs in CRITERION_12_POLYNOMIALS:
+        v = _v(de.Polynomial(coeffs), "A")
+        assert (v.mean_ergodic, v.uniformly_mean_ergodic) == ("yes", "no")
+
+
+def test_near_parabolic_hyperbolic_automorphisms_stay_hyperbolic():
+    # With 1 - mu below about 5e-5 the fixed points +-1 pass the
+    # discriminant test of the parabolic merge, though their midpoint is no
+    # fixed point; merged, the map read as interior and unknown/unknown.
+    # Every other map is conjugated by sigma_p, |p| <= 0.9.
+    rng = np.random.default_rng(24)
+    borderline = 0
+    for i in range(60):
+        mu = 1.0 - 10.0 ** rng.uniform(-5.5, -2.0)
+        s = de.make_automorphism("hyperbolic", multiplier=mu)
+        if i % 2:
+            p = 0.9 * math.sqrt(rng.uniform()) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+            sigma = de.Moebius(-1, p, -p.conjugate(), 1)
+            s = de.moebius_product(sigma, de.moebius_product(s, sigma))
+        cls = de.classify(s)
+        assert isinstance(cls, de.HyperbolicDW), (mu, s, cls)
+        for space in ("A", "Hinf"):
+            v = _v(s, space, cls=cls)
+            assert (v.mean_ergodic, v.uniformly_mean_ergodic) == ("no", "no"), (mu, s, v)
+            warned = any(name == "warning" for name, _ in v.evidence)
+            assert warned == (1.0 - mu < 1e-4), (mu, s, v)
+        borderline += 1.0 - mu < 1e-4
+    assert borderline >= 15, borderline
 
 
 def test_verdict_interior_certificate():
@@ -919,31 +919,13 @@ def test_planted_cycles_reach_the_search_as_before(monkeypatch):
     assert reports == [_v(s, space).to_dict() for s in symbols for space in ("A", "Hinf")]
 
 
-def test_verdict_density_route_names_its_certificate(monkeypatch):
-    # the minima over the balls of radii 0.5, 0.1 and 0.02 are those of the
-    # smallest ball, bit for bit: a visit to it is a visit to each larger one
-    monkeypatch.setattr(de.ergodicity, "DENSITY_N", 3000)
-    for s, certified in ((de.Polynomial([0.19, 0.8, 0.01]), True),
-                         (de.Polynomial([0.5, 0.0, 0.5]), False)):
-        cls = de.classify(s)
-        evidence = dict(_v(s, "A", cls=cls).evidence)
-        seeds = de.ergodicity._boundary_seeds(cls.z0, de.ergodicity.DENSITY_SEEDS)
-        hits, ratios, _ = de.ergodicity._visits(s, seeds, cls.z0, (0.5, 0.1, 0.02), 3000)
-        assert evidence["density_n"] == 3000
-        assert evidence["density_min_estimate"] == float(hits.min()) / 3000
-        assert evidence["density_min_running_ratio"] == float(ratios.min())
-        assert 0.0 < evidence["attractor_error_bound"] < 1e-12
-        step = evidence["density_certified_step"]
-        assert (step is not None and step < 3000) if certified else step is None
-
-
 def test_certified_density_run_answers_yes():
-    # ((1 + z)/2)^2: certified at step 196, the estimate at n = 10^5 is
-    # 0.99806 < DENSITY_YES, but every orbit stays in every ball from then on
+    # ((1 + z)/2)^2 touches the circle only at its parabolic point 1: the
+    # period search up to d - 1 = 1 finds no other cycle
     v = _v(de.Polynomial([0.25, 0.5, 0.25]), "A")
     evidence = dict(v.evidence)
-    assert evidence["density_certified_step"] == 196
-    assert evidence["density_min_estimate"] < de.ergodicity.DENSITY_YES
+    assert evidence["boundary_period_searched"] == 1
+    assert "boundary_periodic_point" not in evidence
     assert (v.mean_ergodic, v.uniformly_mean_ergodic) == ("yes", "no")
 
 
