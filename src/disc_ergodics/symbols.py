@@ -471,6 +471,48 @@ def _image_radius_bound(s: Symbol) -> tuple[float, float]:
     return math.inf, math.inf
 
 
+def _origin_contraction(s: Symbol):
+    """For a stepped symbol that fixes 0 exactly, a function r -> L with
+    |fl phi(w)| <= L |w| wherever |w| <= r and the evaluation stays in the
+    normal range; None for other symbols.
+
+    The symbols are polynomial and Taylor symbols with c_0 = 0 and Blaschke
+    products with a zero at 0, of degree two or more (linear-fractional
+    ones have a closed form).  By the refined Schwarz lemma |phi(w)| <=
+    |w| G(r) (Cowen-MacCluer 1995, ch. 2), with G(r) = sum_{k>=1} |c_k|
+    r^(k-1) for a polynomial, and for a Blaschke product the product of
+    (r + |a|)/(1 + |a| r) over its zeros, one zero at 0 left out.  L is
+    G(r) times 1 plus twice the evaluator's rounding of
+    ``_image_radius_bound``, relative to these same sums (Horner's scheme,
+    Higham 2002 sec. 5.1; the d factors of a Blaschke product), once for
+    the evaluation and once for forming G(r) itself.  Values rounded below
+    the normal range add at most 2^-1050 to |fl phi(w)|, for fewer than a
+    million coefficients or zeros: a few units of 2^-1075 per operation,
+    none of them scaled up, as |w| <= 1 and every |c_k| <= 1.
+    """
+    if _as_moebius(s) is not None:
+        return None
+    if isinstance(s, Polynomial) and s.coeffs[0] == 0:
+        moduli = [abs(c) for c in reversed(s.coeffs[1:])]
+
+        def factor(r):
+            g = 0.0
+            for m in moduli:
+                g = g * r + m
+            return g
+    elif isinstance(s, Blaschke) and 0 in s.zeros:
+        zeros = list(s.zeros)
+        zeros.remove(0)
+        moduli = [abs(a) for a in zeros]
+
+        def factor(r):
+            return math.prod((r + m) / (1.0 + m * r) for m in moduli)
+    else:
+        return None
+    scale = 1.0 + 2.0 * _image_radius_bound(s)[1]
+    return lambda r: factor(r) * scale
+
+
 def _is_inner(s: Symbol) -> bool:
     """Whether phi maps the unit circle onto itself, read from the
     coefficients.  Blaschke products do.  A linear-fractional map does when
@@ -517,6 +559,8 @@ class Orbit:
 # Points per block: 128 KiB of complex values.  Larger blocks gain little
 # and raise the peak memory (2**16 points added 6 MB to a benchmark run).
 BLOCK_POINTS = 2**13
+# Rows of the first block of an orbit that may stop early (``_folded_blocks``)
+_FIRST_BLOCK_ROWS = 8
 # Rounding a unit complex number to doubles moves it off the circle by less
 # (at most 7.7e-17 for cmath.exp(2j*pi*t), 2000 random t); see _ClosedForm.
 ROTATION_SNAP_TOL = 1e-16
@@ -686,7 +730,17 @@ def _block_rows(seeds: int) -> int:
     return max(1, BLOCK_POINTS // max(1, seeds))
 
 
-def _folded_blocks(s: Symbol, seeds, n: int):
+def _block_spans(n: int, first: int, rows: int):
+    # (m0, count) of the blocks of n rows: the first of ``first`` rows, each
+    # next one twice the last, up to ``rows``
+    m0, count = 0, first
+    while m0 < n:
+        count = min(count, n - m0)
+        yield m0, count
+        m0, count = m0 + count, min(2 * count, rows)
+
+
+def _folded_blocks(s: Symbol, seeds, n: int, stop=None):
     """The engine under ``orbit_blocks``: its blocks and checks, except that
     the block in which the orbit is found to repeat is the last, and ends
     after its computed rows.
@@ -694,6 +748,11 @@ def _folded_blocks(s: Symbol, seeds, n: int):
     Yields (m0, W, period).  period is None, except on that last block when
     rows are left after it: W then ends with one period of the cycle, and
     the rows after W repeat that period from its first row.
+
+    ``stop``, when given, is asked after each block that leaves rows, with
+    the block's last row, whether the rest of the orbit is needed; the
+    engine ends there on a true answer.  Its blocks then start at
+    _FIRST_BLOCK_ROWS rows and double, so that the question comes early.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -714,8 +773,8 @@ def _folded_blocks(s: Symbol, seeds, n: int):
     # compared on a match (0 == -0, but they print differently); a value
     # whose bits differ from its match's is keyed by its bits
     key = w if one else w.tobytes()
-    for m0 in range(0, n, rows):
-        count = min(rows, n - m0)
+    first = rows if stop is None else min(rows, _FIRST_BLOCK_ROWS)
+    for m0, count in _block_spans(n, first, rows):
         if form is not None:
             yield m0, form.iterates(seeds, np.arange(m0 + 1, m0 + count + 1)), None
             continue
@@ -744,6 +803,8 @@ def _folded_blocks(s: Symbol, seeds, n: int):
             yield m0, block, period
             return
         yield m0, block, None
+        if stop is not None and m0 + count < n and stop(block[-1]):
+            return
 
 
 def orbit_blocks(s: Symbol, seeds, n: int):
@@ -772,10 +833,15 @@ def orbit_blocks(s: Symbol, seeds, n: int):
     read the fold instead, as ``ergodicity.cesaro_final_means`` does, at
     the cost of the computed rows whatever n; it then differs from a sum
     over the tiled rows only in its rounding (n 2^-53 sup|f| in the tests
-    of those means).  A stepped orbit that leaves the closed disc (a point
-    not finite, or of modulus above 1 + SELF_MAP_TOL) raises SymbolError
-    naming the step; so does a seed, before any step, naming the seed.
-    n < 1 raises ValueError.
+    of those means).  That sum can also end the orbit early, through the
+    engine's ``stop``, once a bound on the rest of it is negligible: orbits
+    attracted to 0 = phi(0) shrink through the whole exponent range of
+    doubles before they repeat, and the refined Schwarz lemma
+    (``_origin_contraction``) bounds every step after the first tens;
+    orbit_blocks itself never stops early.  A stepped orbit that leaves
+    the closed disc (a point not finite, or of modulus above 1 +
+    SELF_MAP_TOL) raises SymbolError naming the step; so does a seed,
+    before any step, naming the seed.  n < 1 raises ValueError.
     """
     for m0, block, period in _folded_blocks(s, seeds, n):
         if period is None:

@@ -207,6 +207,49 @@ def random_interior_blaschke(rng) -> de.Blaschke:
     return de.Blaschke(rng.uniform(0, 2 * math.pi), zeros)
 
 
+def centered_blaschke(rng, degree: int, low: float = 0.2, high: float = 0.7) -> de.Blaschke:
+    """Blaschke product of the given degree with a zero at 0, its other
+    zeros of modulus uniform in [low, high] and a random rotation, as
+    perfbench's ``blaschke(degree)`` family (low 0.2, high 0.7)."""
+    zeros = [0j] + [rng.uniform(low, high) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+                    for _ in range(degree - 1)]
+    return de.Blaschke(rng.uniform(0, 2 * math.pi), zeros)
+
+
+def centered_contraction_polynomial(rng, taylor: bool = False) -> de.Polynomial:
+    """sum c_k z^k of degree 2 or 3 with c_0 = 0 and sum |c_k| in [0.5,
+    0.8], so 0 attracts, as perfbench's ``contraction_polynomial(centered=True)``
+    family; a Taylor symbol with the same coefficients when ``taylor``."""
+    weights = rng.uniform(0.2, 1.0, int(rng.integers(2, 4)) + 1)
+    weights[0] = 0.0
+    weights *= rng.uniform(0.5, 0.8) / weights.sum()
+    coeffs = [w * cmath.exp(1j * rng.uniform(0, 2 * math.pi)) for w in weights]
+    return (de.Taylor if taylor else de.Polynomial)(coeffs)
+
+
+def exact_means(f, folded, n: int) -> np.ndarray:
+    """(1/n) sum_{m<=n} f(phi^m(seeds)) with each seed's sum exactly
+    rounded, divided by n as ``cesaro_final_means`` divides.  ``folded`` is
+    the list of blocks of ``symbols._folded_blocks(s, seeds, n)``, the rows
+    the engine computes when it is not asked to stop; a folded cycle is
+    counted as often as it recurs: k times a value is the sum of its exact
+    products with the powers of two in k, so math.fsum rounds the whole
+    sum once."""
+    terms = []
+    for m0, block, period in folded:
+        values = np.asarray(f(block), dtype=complex)
+        terms.append(values)
+        if period is not None:
+            full, part = divmod(n - m0 - len(values), period)
+            cycle = values[len(values) - period:]
+            terms.append(cycle[:part])
+            terms += [cycle.real * 2.0**b + 1j * (cycle.imag * 2.0**b)
+                      for b in range(full.bit_length()) if full >> b & 1]
+    values = np.concatenate(terms)
+    sums = np.array([complex(math.fsum(v.real), math.fsum(v.imag)) for v in values.T])
+    return sums.real / n + 1j * (sums.imag / n)
+
+
 def boundary_touching_polynomial(rng) -> de.Polynomial:
     """sum c_k z^k with c_0 = 0, c_k >= 0 and sum c_k = 1, rotated: 0
     attracts, and the circle carries a repelling fixed point."""
@@ -482,10 +525,22 @@ class CountingSymbol(de.Symbol):
 
 
 class CountingTestFunction(de.TestFunction):
-    """A test function that counts the orbit rows it is evaluated on."""
+    """A test function that counts the orbit rows it is evaluated on.  It
+    passes for the function it wraps, to ``isinstance`` and for its fields,
+    so the library takes the path it takes for that function: a wrapped
+    ``Monomial`` stops at an attracting origin as the monomial does."""
 
     def __init__(self, f: de.TestFunction):
         self.f, self.rows = f, 0
+
+    @property
+    def __class__(self):
+        return type(self.f)
+
+    def __getattr__(self, name):
+        if name == "f":  # not set yet
+            raise AttributeError(name)
+        return getattr(self.f, name)
 
     def __call__(self, z):
         self.rows += len(z)
@@ -610,6 +665,23 @@ def count_iterate_rows(monkeypatch) -> list:
 
     monkeypatch.setattr(de.symbols._ClosedForm, "iterates", counting)
     return asked
+
+
+def record_engine_calls(monkeypatch) -> list:
+    """Patches the engine under ``cesaro_final_means`` to record each call:
+    the stop it is given (None when every row is summed) and the rows it
+    yields.  Returns the record, a list of dicts."""
+    calls, engine = [], de.symbols._folded_blocks
+
+    def recording(s, seeds, n, stop=None):
+        call = {"stop": stop, "rows": 0}
+        calls.append(call)
+        for m0, block, period in engine(s, seeds, n, stop):
+            call["rows"] += len(block)
+            yield m0, block, period
+
+    monkeypatch.setattr(de.ergodicity, "_folded_blocks", recording)
+    return calls
 
 
 def check_engine_matches_stepping(s: de.Symbol, seeds, n: int, want=None) -> int:

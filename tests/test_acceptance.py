@@ -513,3 +513,39 @@ def test_criterion_24_boundary_attracting_polynomials_decided_from_their_cycles(
             t_half + sum(times), None,
             f"(1 + z^2)/2 in {t_half * 1e3:.2f} ms, criterion-12 polynomials in "
             + ", ".join(f"{t * 1e3:.2f}" for t in times) + " ms")
+
+
+def test_criterion_25_cesaro_sums_at_an_attracting_origin_at_the_cost_of_their_certificate(
+        monkeypatch):
+    # the centered requests of the orbit_sweeps workload, rebuilt: zsq,
+    # blend_half, five centered contraction polynomials and five Blaschke
+    # products of degree 2 and 3 with a zero at 0, on its 25 interior seeds.
+    # cesaro_orbit_mean, and z and z^3, at n = 4000 and 10^6: at most 128
+    # rows evaluated per call, where summing to the repeat in doubles takes
+    # 15 to 1,552 for these symbols, and within 3 2^-53 of the exactly
+    # rounded sum over every row
+    rng = np.random.default_rng(invariants.SEED + 25)
+    symbols = [de.gallery_symbol("zsq"), de.gallery_symbol("blend_half")]
+    symbols += [invariants.centered_contraction_polynomial(rng) for _ in range(5)]
+    symbols += [invariants.centered_blaschke(rng, 2 + i % 2) for i in range(5)]
+    grid = _grid([0.1, 0.3, 0.5, 0.7, 0.9], 5)
+    calls = invariants.record_engine_calls(monkeypatch)
+    elapsed, rows, worst = 0.0, [], 0.0
+    for s in symbols:
+        for n in (4000, 10**6):
+            folded = list(de.symbols._folded_blocks(s, grid, n))
+            for j in (None, 1, 3):
+                f = invariants.CountingTestFunction(de.Monomial(j or 1))
+                t0 = time.perf_counter()
+                means = (de.cesaro_orbit_mean(s, grid, n) if j is None
+                         else de.cesaro_final_means(s, f, grid, n))
+                elapsed += time.perf_counter() - t0
+                rows.append(calls[-1]["rows"])
+                assert f.rows == (0 if j is None else rows[-1]), (s, j, f.rows)
+                assert rows[-1] <= 128, (s, n, j, rows[-1])
+                gap = float(np.max(np.abs(means - invariants.exact_means(f.f, folded, n))))
+                assert gap <= 3 * 2.0**-53, (s, n, j, gap)
+                worst = max(worst, gap)
+    _report(25, "Cesaro sums at an attracting origin at the cost of their certificate",
+            elapsed, 0.3, f"{len(rows)} calls, {min(rows)} to {max(rows)} rows each; "
+            f"means within {worst / 2.0**-53:.3g} 2^-53 of the exactly rounded sums")

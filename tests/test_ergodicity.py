@@ -8,11 +8,12 @@ import pytest
 
 import disc_ergodics as de
 from disc_ergodics.symbols import orbit_blocks
-from invariants import (CRITERION_12_POLYNOMIALS, GRID_25, SIGNED_ZEROS, SUBNORMALS,
-                        CountingSymbol, CountingTestFunction,
-                        check_cesaro_power_boundedness, check_lft_density_certificate,
-                        evaluation_points, evaluator_cases, random_automorphism,
-                        random_interior_blaschke, stepped_cycle)
+from invariants import (CRITERION_12_POLYNOMIALS, GRID_25, SEED, SIGNED_ZEROS, SUBNORMALS,
+                        CountingSymbol, CountingTestFunction, centered_blaschke,
+                        centered_contraction_polynomial, check_cesaro_power_boundedness,
+                        check_lft_density_certificate, evaluation_points, evaluator_cases,
+                        exact_means, random_automorphism, random_interior_blaschke,
+                        record_engine_calls, stepped_cycle)
 
 HALF = de.Moebius(1, 0, 0, 2)
 HYPERBOLIC = de.Moebius(2, 1, 1, 2)
@@ -157,13 +158,124 @@ def test_per_period_sums_of_stepped_cycles(monkeypatch):
             _check_per_period_sums(s, GRID_25, n)
 
 
-def test_per_period_sums_see_the_computed_rows_only():
+def test_per_period_sums_see_the_computed_rows_only(monkeypatch):
     # f is evaluated on the rows the engine computes, never on tiled ones
+    calls = record_engine_calls(monkeypatch)
     for s in (ZSQ, de.Moebius(cmath.exp(0.4j * math.pi), 0, 0, 1)):
         counting = CountingTestFunction(de.Monomial(2))
         de.cesaro_final_means(s, counting, GRID_25, 10**6)
-        computed = sum(len(block) for _, block, _ in de.symbols._folded_blocks(s, GRID_25, 10**6))
+        computed = calls.pop()["rows"]
         assert counting.rows == computed <= 20, (s, counting.rows)
+
+
+def _unstopped_means(s, f, seeds, n):
+    # the sums of cesaro_final_means without its stop: f of every row the
+    # engine computes, added block by block, a folded cycle once per period
+    total = np.zeros(np.size(seeds), dtype=complex)
+    for m0, block, period in de.symbols._folded_blocks(s, seeds, n):
+        values = f(block)
+        total = total + np.sum(values, axis=0)
+        if period is not None:
+            full, part = divmod(n - m0 - len(block), period)
+            cycle = values[len(values) - period:]
+            total = total + (full * np.sum(cycle, axis=0) + np.sum(cycle[:part], axis=0))
+    return (total.real / n + 1j * (total.imag / n)).reshape(np.shape(seeds))
+
+
+def _identity(z):
+    return z
+
+
+ZERO_SEEDS = np.array([0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)])
+
+
+def _centered_shapes():
+    # symbols with phi(0) = 0 exactly that are stepped: the stepped cycles
+    # of criterion 18, random Blaschke products with a zero at 0 of degree
+    # 2 to 4 (other zeros up to 0.95; one with a double zero at 0), and
+    # random centered polynomial and Taylor symbols
+    rng = np.random.default_rng(SEED + 25)
+    shapes = [ZSQ, de.gallery_symbol("blend_half"), SIGNED_ZEROS, SUBNORMALS]
+    shapes += [centered_blaschke(rng, degree, 0.0, 0.95) for degree in (2, 3, 4)]
+    shapes.append(de.Blaschke(rng.uniform(0, 2 * math.pi), [0j, 0j, 0.95j]))
+    shapes += [centered_contraction_polynomial(rng), centered_contraction_polynomial(rng, True)]
+    coeffs = rng.uniform(0.2, 1.0, 9) * np.exp(1j * rng.uniform(0, 2 * math.pi, 9))
+    coeffs[0] = 0
+    shapes.append(de.Taylor(list(coeffs * 0.9 / np.sum(np.abs(coeffs)))))
+    return shapes
+
+
+def test_sums_at_an_attracting_origin_agree_with_every_row(monkeypatch):
+    # the stopped sums against the exactly rounded sum over every row,
+    # within the bound of _check_per_period_sums: from one seed (0.6 e^i,
+    # -0 and -0 - 0i) and from the 25-seed grid with zeros of every sign,
+    # for the identity and z^j, j = 1 ... 8; exact zero rows keep the bits
+    # of the full sum
+    calls = record_engine_calls(monkeypatch)
+    one = np.array([0.6 * cmath.exp(1j)])
+    grid = np.concatenate([GRID_25, ZERO_SEEDS])
+    stopped = 0
+    for k, s in enumerate(_centered_shapes()):
+        for seeds in (one, grid, ZERO_SEEDS[1:2], ZERO_SEEDS[3:]):
+            for i, n in enumerate((1, 7, 64, 4000, 10**6)):
+                folded = list(de.symbols._folded_blocks(s, seeds, n))
+                if n <= 4000:
+                    blocks = [block for _, block in orbit_blocks(s, seeds, n)]
+                    assert np.array_equal(exact_means(_identity, folded, n),
+                                          _row_by_row_means(_identity, blocks, n))
+                j = 1 + (2 * k + i + 5 * (len(seeds) > 1) + 3 * (seeds[0] == 0)) % 8
+                for f in (_identity, de.Monomial(j)):
+                    got = (de.cesaro_orbit_mean(s, seeds, n) if f is _identity
+                           else de.cesaro_final_means(s, f, seeds, n))
+                    assert calls[-1]["stop"] is not None, (s, n)
+                    stopped += calls[-1]["rows"] < sum(len(b) for _, b, _ in folded)
+                    gap = float(np.max(np.abs(got - exact_means(f, folded, n))))
+                    assert gap <= 3 * 2.0**-53, (s, f, len(seeds), n, gap)
+                    zero = seeds == 0
+                    assert got[zero].tobytes() == _unstopped_means(
+                        s, f, seeds, n)[zero].tobytes(), (s, f, n)
+    assert stopped >= 40, stopped
+
+
+def test_sums_from_the_circle_are_never_stopped(monkeypatch):
+    # on the circle G(1) = 1 for a Blaschke product: orbits there, alone or
+    # with interior seeds, are summed row by row, with the bits of the full
+    # sum.  Rounding moves such orbits off the circle by a factor |phi'| > 1
+    # a step, so they leave the closed disc, after 12 to 25 steps for these
+    # symbols; n stays below that.
+    calls = record_engine_calls(monkeypatch)
+    rng = np.random.default_rng(SEED + 26)
+    circle = np.exp(2j * np.pi * (np.arange(16) + 0.3) / 16)
+    shapes = [ZSQ, SIGNED_ZEROS] + [centered_blaschke(rng, d) for d in (2, 3, 4)]
+    for s in shapes:
+        for seeds in (circle, circle[:1], np.concatenate([GRID_25, circle])):
+            for f in (_identity, de.Monomial(1), de.Monomial(4)):
+                for n in (9, 11):
+                    got = (de.cesaro_orbit_mean(s, seeds, n) if f is _identity
+                           else de.cesaro_final_means(s, f, seeds, n))
+                    assert calls[-1]["stop"] is None, (s, f)
+                    assert got.tobytes() == _unstopped_means(s, f, seeds, n).tobytes(), (s, f)
+
+
+def test_sums_that_cannot_stop_take_the_full_path(monkeypatch):
+    # phi(0) tiny but not 0, linear-fractional symbols, and test functions
+    # with f(0) != 0 sum every row, bit for bit as before
+    calls = record_engine_calls(monkeypatch)
+    near = [de.Polynomial([1e-300, 0.5, 0.3j]),
+            de.Blaschke(0.4, [1e-300, 0.5 + 0.2j]),
+            de.Taylor([1e-300 * 1j, -0.25, 0.125, 0.5])]
+    closed = [de.gallery_symbol(name) for name in ("z_half", "rot_i", "rot_golden")]
+    closed += [de.Polynomial([0, 0.5j]), de.Polynomial([0.1, 0.6]), de.Blaschke(1.0, [0j])]
+    cases = [(s, f) for s in near + closed for f in (_identity, de.Monomial(3))]
+    cases += [(s, f) for s in (ZSQ, SUBNORMALS, de.gallery_symbol("blend_half"))
+              for f in (de.TaylorFn([0.5, -0.25j, 0.125]), de.HalfPointWitness(1j, 7),
+                        de.Monomial(0))]
+    for s, f in cases:
+        for seeds in (np.array([0.6 * cmath.exp(1j)]), GRID_25):
+            got = (de.cesaro_orbit_mean(s, seeds, 4000) if f is _identity
+                   else de.cesaro_final_means(s, f, seeds, 4000))
+            assert calls[-1]["stop"] is None, (s, f)
+            assert got.tobytes() == _unstopped_means(s, f, seeds, 4000).tobytes(), (s, f)
 
 
 def test_orbit_means_sum_the_points():
