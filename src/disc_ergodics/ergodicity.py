@@ -235,8 +235,9 @@ def cesaro_final_means(s: Symbol, f: TestFunction, seeds, n: int) -> np.ndarray:
 
     f is evaluated once on each computed row of the orbits
     (``symbols._folded_blocks``).  Where the orbits repeat, as those of an
-    exact rotation do from their first row and stepped orbits that settle
-    bit for bit on a cycle do from its onset, the p rows of one period
+    exact rotation do from their first row, those of a real contraction
+    from the row where its closed form settles, and stepped orbits that
+    settle bit for bit on a cycle from its onset, the p rows of one period
     stand for the rest: their sum is added once per full period left, and
     the first rows of it once for a partial period.  The cost is that of
     the onset and the period, not of n.  The sum then differs from the one

@@ -564,6 +564,9 @@ _FIRST_BLOCK_ROWS = 8
 # Rounding a unit complex number to doubles moves it off the circle by less
 # (at most 7.7e-17 for cmath.exp(2j*pi*t), 2000 random t); see _ClosedForm.
 ROTATION_SNAP_TOL = 1e-16
+# log 2^-54, half a unit in the last place of 1, and log 2^-1075, below
+# which a double rounds to 0 (``_ClosedForm.settling``)
+_HALF_UNIT_LOG, _UNDERFLOW_LOG = -54 * math.log(2.0), -1075 * math.log(2.0)
 # Largest rotation order recognised as periodic.
 PERIOD_SEARCH_MAX = 10**4
 
@@ -651,6 +654,25 @@ class _ClosedForm:
     m mod ``period``, the fraction's denominator (None for other maps).
     m turns are reduced to quarter turns, exact, plus at most an eighth:
     kappa = -1 gives exactly -1.
+
+    A real contraction, turns 0 and log_r < 0 (hyperbolic automorphisms,
+    tangent maps, dilations r z, their conjugates), settles in doubles:
+    from some row on, every row of its orbit is, bit for bit, the limit
+    row L of ``settling``, the formula at an m' with exp(m' log_r) = 0.
+    The first row that is L, with expm1(m log_r) = -1, is where every later
+    row is L (``settled``), because:
+    - turns 0 gives the unit part 1 and its unit - 1 as 0 exactly;
+    - exp(m log_r) does not increase with m, and expm1(m log_r) stays at
+      -1 once it reaches it, so from there gamma S_m is that of L;
+    - each component of fl(kappa^m y) then shrinks toward 0 with a fixed
+      sign, a zero keeping its sign, and adding gamma S_m rounds
+      monotonically.
+    So a row of y that equals L's lies between it and L at every later m,
+    and equals it.  The rows are compared in y, before z = q + 1/y, which
+    is not monotone, and seeds on p or q are left out.  Without the expm1
+    condition, or comparing rows of z, a row can match L and a later one
+    not.  Complex kappa and |kappa| = 1 never settle this way: their tails
+    keep moving in the last bit.
     """
 
     def __init__(self, m: Moebius):
@@ -699,18 +721,63 @@ class _ClosedForm:
                 return unit, unit_m1
         return np.exp(m * self.log_r) * unit, np.expm1(m * self.log_r) * unit + unit_m1
 
-    def iterates(self, seeds: np.ndarray, m: np.ndarray) -> np.ndarray:
-        """phi^m(seeds), one row per m."""
+    def _conjugated(self, seeds: np.ndarray, m: np.ndarray):
+        # the rows y_m = kappa^m y + gamma S_m, and the kappa^m - 1 of each
         power, power_m1 = self.powers(m)
         sums = m if self.kappa_m1 == 0 else power_m1 / self.kappa_m1
-        with np.errstate(divide="ignore", invalid="ignore"):
-            y = seeds if self.q is None else 1.0 / (seeds - self.q)
-            w = power[:, None] * y + (self.gamma * sums)[:, None]
-            if self.q is not None:
-                w = self.q + 1.0 / w
-        fixed = (seeds == self.p) | (seeds == self.q)
+        y = seeds if self.q is None else 1.0 / (seeds - self.q)
+        return power[:, None] * y + (self.gamma * sums)[:, None], power_m1
+
+    def _fixed(self, seeds: np.ndarray) -> np.ndarray:
+        # the seeds on p or q, which are returned as they are
+        return (seeds == self.p) | (seeds == self.q)
+
+    def _unconjugated(self, seeds: np.ndarray, y: np.ndarray) -> np.ndarray:
+        w = y if self.q is None else self.q + 1.0 / y
+        fixed = self._fixed(seeds)
         w[:, fixed] = seeds[fixed]
         return w
+
+    def iterates(self, seeds: np.ndarray, m: np.ndarray) -> np.ndarray:
+        """phi^m(seeds), one row per m."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return self._unconjugated(seeds, self._conjugated(seeds, m)[0])
+
+    def settling(self, seeds: np.ndarray, n: int):
+        """(estimate, limit) for the orbits of a real contraction that are
+        estimated to settle within n rows; None for other maps and orbits.
+
+        limit is the row y_m' of the coordinate y at an m' with
+        exp(m' log_r) = 0 (it underflows below -745.2).  estimate is the row
+        by which every row is expected to equal it: expm1(m log_r) rounds
+        to -1 once m log_r < log 2^-54, and kappa^m y, a component at a
+        time, rounds away against a limit component c once below half its
+        unit in the last place, 2^-54 |c|, or below 2^-1075 where c = 0.
+        It only says where to look; ``settled`` decides.
+        """
+        if not (self.turns == 0 and self.log_r < 0.0) or _HALF_UNIT_LOG / self.log_r + 1 >= n:
+            return None
+        free = ~self._fixed(seeds)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            limit, _ = self._conjugated(seeds, np.array([math.ceil(-746.0 / self.log_r)]))
+            y = seeds[free] if self.q is None else 1.0 / (seeds[free] - self.q)
+            target = np.maximum(np.log(np.abs(limit[0, free].view(float))) + _HALF_UNIT_LOG,
+                                _UNDERFLOW_LOG)
+            rows = (target - np.log(np.abs(y.view(float)))) / self.log_r
+        estimate = max(_HALF_UNIT_LOG / self.log_r, float(np.max(rows, initial=0.0)))
+        estimate = math.ceil(estimate) + 1
+        return (estimate, limit[0]) if estimate < n else None
+
+    def settled(self, seeds: np.ndarray, m: np.ndarray, limit: np.ndarray):
+        """``iterates`` of m, and the index of the first of those rows from
+        which every row is the limit of ``settling`` (None when none is): a
+        row of y equal to it bit for bit, with expm1(m log_r) = -1."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            y, power_m1 = self._conjugated(seeds, m)
+            fixed = np.repeat(self._fixed(seeds), 2)  # both components
+            same = ((y.view(np.int64) == limit.view(np.int64)) | fixed).all(axis=1)
+            same &= power_m1 == -1.0
+            return self._unconjugated(seeds, y), (int(np.argmax(same)) if same.any() else None)
 
 
 def _closed_form(s: Symbol) -> _ClosedForm | None:
@@ -749,10 +816,19 @@ def _folded_blocks(s: Symbol, seeds, n: int, stop=None):
     rows are left after it: W then ends with one period of the cycle, and
     the rows after W repeat that period from its first row.
 
-    ``stop``, when given, is asked after each block that leaves rows, with
-    the block's last row, whether the rest of the orbit is needed; the
-    engine ends there on a true answer.  Its blocks then start at
-    _FIRST_BLOCK_ROWS rows and double, so that the question comes early.
+    Closed forms repeat in two ways.  An exact rotation computes one period
+    from the first row.  A real contraction whose settle estimate
+    (``_ClosedForm.settling``) is below n ends at its first row from which
+    every row is the same (``_ClosedForm.settled``), a cycle of period 1;
+    its first block spans the estimate, and each later one doubles.  Other
+    closed forms, and real contractions estimated to settle after n, are
+    computed in blocks of full length.
+
+    ``stop``, when given, is asked after each block of a stepped orbit that
+    leaves rows, with the block's last row, whether the rest of the orbit
+    is needed; the engine ends there on a true answer.  Its blocks then
+    start at _FIRST_BLOCK_ROWS rows and double, so that the question comes
+    early.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -767,6 +843,20 @@ def _folded_blocks(s: Symbol, seeds, n: int, stop=None):
         cycle = form.iterates(seeds, np.arange(1, min(form.period, n) + 1))
         yield 0, cycle, form.period if form.period < n else None
         return
+    if form is not None:
+        settling = form.settling(seeds, n)
+        first = rows if settling is None else min(rows, settling[0])
+        for m0, count in _block_spans(n, first, rows):
+            m = np.arange(m0 + 1, m0 + count + 1)
+            if settling is None:
+                yield m0, form.iterates(seeds, m), None
+                continue
+            block, i = form.settled(seeds, m, settling[1])
+            if i is not None and m0 + i + 1 < n:
+                yield m0, block[:i + 1], 1
+                return
+            yield m0, block, None
+        return
     one = len(seeds) == 1
     w = complex(seeds[0]) if one else seeds
     # a row's key: its bytes, or for one seed its value, whose bits are
@@ -775,9 +865,6 @@ def _folded_blocks(s: Symbol, seeds, n: int, stop=None):
     key = w if one else w.tobytes()
     first = rows if stop is None else min(rows, _FIRST_BLOCK_ROWS)
     for m0, count in _block_spans(n, first, rows):
-        if form is not None:
-            yield m0, form.iterates(seeds, np.arange(m0 + 1, m0 + count + 1)), None
-            continue
         points = [w if one else None]  # the row before the block (one seed's), then its rows
         # the index of the row a key repeats, or i for a new one, which is kept
         seen = {key: 0}.setdefault if rows > 1 else lambda k, i, last=key: i - (k == last)
@@ -823,10 +910,14 @@ def orbit_blocks(s: Symbol, seeds, n: int):
     through one period of the repeat, which is tiled into the rest of the
     orbit, so every block is exactly the one computed row by row, and a
     copy of its own.  An exact rotation (``_ClosedForm.period``) repeats
-    from its first row.  A stepped orbit, each row a function of the one
-    before, stops at the first row equal bit for bit to a row of its block
-    or to the row before the block: one period into its cycle, or within
-    two when the cycle began before the block.  With one row per block only
+    from its first row.  A real contraction (0 < kappa < 1: hyperbolic
+    automorphisms, tangent maps, dilations and their conjugates) settles in
+    doubles, no sooner than 37.4/|log kappa| rows in, on a row that every
+    later row repeats bit for bit (``_ClosedForm.settling``): a cycle of
+    period 1.  A stepped orbit, each row a function of the one before,
+    stops at the first row equal bit for bit to a row of its block or to
+    the row before the block: one period into its cycle, or within two
+    when the cycle began before the block.  With one row per block only
     the row before is compared, so no key of the grid is hashed.  The rows
     are computed by ``_folded_blocks``, which leaves the repeat folded into
     one period and a count; this only tiles it.  A sum over the orbit can

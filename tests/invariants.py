@@ -727,6 +727,61 @@ def check_orbit_early_exit(cases: int = 100) -> int:
     return cases
 
 
+def real_contraction(rng) -> de.Symbol:
+    """A linear-fractional map with an attracting fixed point p and a real
+    multiplier 0 < kappa < 1, of one of six kinds: a hyperbolic automorphism
+    fixing +-u, u rotated or 1 (p on the real axis); a hyperbolic
+    automorphism conjugated by the involution sigma_p exchanging 0 and p; a
+    tangent map (1 - t) z + t u, u rotated or 1; a dilation r z; an affine
+    polynomial b + a z with 0 < a < 1, b rotated or real; and sigma_p r z
+    sigma_p, p rotated or real."""
+    kind = int(rng.integers(0, 6))
+    u = cmath.exp(1j * rng.uniform(0, 2 * math.pi)) if rng.uniform() < 0.7 else 1.0 + 0j
+    r = rng.uniform(0.02, 0.98)
+    if kind == 0:
+        return de.Moebius(1 + r, (1 - r) * u, (1 - r) * u.conjugate(), 1 + r)
+    if kind == 2:
+        return de.Moebius(1 - r, r * u, 0, 1)
+    if kind == 3:
+        return de.Moebius(r, 0, 0, 1)
+    if kind == 4:
+        return de.Polynomial([(1 - r) * rng.uniform(0.0, 1.0) * u, r])
+    p = rng.uniform(0.0, 0.9) * u
+    sigma = de.Moebius(-1.0, p, -p.conjugate(), 1.0)
+    inner = de.Moebius(1 + r, 1 - r, 1 - r, 1 + r) if kind == 1 else de.Moebius(r, 0, 0, 1)
+    return de.moebius_product(sigma, de.moebius_product(inner, sigma))
+
+
+def check_settled_orbits(cases: int = 100) -> int:
+    """Orbits of ``real_contraction`` maps, which fold once their closed
+    form settles (``symbols._ClosedForm.settling``), give at every m the
+    rows of ``_ClosedForm.iterates`` bit for bit.  Seeds: up to 6 random
+    points of the closed disc, 0 with each sign of its two components, a
+    real seed, and p and q where they lie on the closed disc; n log-uniform
+    up to 10^5, and 10^5 in every twentieth case.  At least nine in ten of
+    the maps have turns 0 and log_r < 0, and at least a third of the
+    orbits fold."""
+    rng = np.random.default_rng(SEED + 27)
+    real = folded = 0
+    for k in range(cases):
+        s = real_contraction(rng)
+        form = de.symbols._closed_form(s)
+        real += form.turns == 0 and form.log_r < 0.0
+        seeds = [_random_interior(rng, 1.0) for _ in range(int(rng.integers(1, 7)))]
+        seeds += [complex(x, y) for x in (0.0, -0.0) for y in (0.0, -0.0)]
+        seeds += [rng.uniform(-1.0, 1.0)] + [v for v in (form.p, form.q) if v is not None
+                                              and abs(v) <= 1.0 + de.symbols.SELF_MAP_TOL]
+        seeds = np.array(seeds, dtype=complex)
+        n = 10**5 if k % 20 == 0 else int(10.0 ** rng.uniform(0.0, 5.0))
+        want = form.iterates(seeds, np.arange(1, n + 1))
+        got = np.concatenate([b for _, b in de.symbols.orbit_blocks(s, seeds, n)])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), (s, seeds, n)
+        if form.settling(seeds, n) is not None:
+            folded += list(de.symbols._folded_blocks(s, seeds, n))[-1][2] == 1
+    assert real >= 0.9 * cases and folded >= cases // 3, (real, folded)
+    return cases
+
+
 def check_inner_predicate(cases: int = 100) -> int:
     """``symbols._is_inner``, the one test for "phi maps the circle onto
     itself", holds for Blaschke products, unimodular monomials (as

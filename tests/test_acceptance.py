@@ -549,3 +549,35 @@ def test_criterion_25_cesaro_sums_at_an_attracting_origin_at_the_cost_of_their_c
     _report(25, "Cesaro sums at an attracting origin at the cost of their certificate",
             elapsed, 0.3, f"{len(rows)} calls, {min(rows)} to {max(rows)} rows each; "
             f"means within {worst / 2.0**-53:.3g} 2^-53 of the exactly rounded sums")
+
+
+# The orbit-mean tolerance of criterion 7, and of the benchmark's orbit_sweeps
+# checks against the attracting point
+TOL_DW_MEAN = 0.05
+
+
+def test_criterion_26_settled_closed_form_orbits_fold(monkeypatch):
+    # cesaro_orbit_mean on the 25 interior seeds at n = 10^9 for real
+    # contractions: the gallery's hyperbolic, tangent and z_half maps, whose
+    # p lies on the real axis, and five hyperbolic automorphisms rotated to
+    # fix +-u, as in the orbit_sweeps workload.  Each orbit folds once its
+    # closed form settles in doubles, at most 1,200 rows in, and each mean
+    # lies within TOL_DW_MEAN of the attracting point.
+    t0 = time.perf_counter()
+    rng = np.random.default_rng(invariants.SEED + 26)
+    symbols = [de.gallery_symbol(name) for name in ("hyperbolic", "tangent", "z_half")]
+    for _ in range(5):
+        mu, u = rng.uniform(0.2, 0.7), cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+        symbols.append(de.Moebius(1 + mu, (1 - mu) * u, (1 - mu) * u.conjugate(), 1 + mu))
+    calls = invariants.record_engine_calls(monkeypatch)
+    rows, worst = [], 0.0
+    for s in symbols:
+        means = de.cesaro_orbit_mean(s, invariants.GRID_25, 10**9)
+        rows.append(calls[-1]["rows"])
+        assert rows[-1] <= 1200, (s, rows[-1])
+        dev = float(np.max(np.abs(means - de.classify(s).z0)))
+        assert dev <= TOL_DW_MEAN, (s, dev)
+        worst = max(worst, dev)
+    _report(26, "settled closed-form orbits fold", time.perf_counter() - t0, 0.25,
+            f"n = 10^9 from {min(rows)} to {max(rows)} computed rows; "
+            f"means within {worst:.2g} of the attracting point")

@@ -12,6 +12,7 @@ from disc_ergodics import symbols
 from disc_ergodics.symbols import _as_moebius, _bits, _closed_form, orbit_blocks
 from invariants import (
     GRID_25,
+    SEED,
     SIGNED_ZEROS,
     SUBNORMALS,
     CountingSymbol,
@@ -20,11 +21,13 @@ from invariants import (
     check_engine_matches_stepping,
     check_orbit_closed_form,
     check_schwarz_monotonicity,
+    check_settled_orbits,
     count_iterate_rows,
     evaluation_points,
     evaluator_cases,
     stepped_cycle,
     stepped_orbit,
+    _rotated_parabolic,
 )
 
 
@@ -257,6 +260,10 @@ def test_orbit_closed_form_invariants():
     assert check_orbit_closed_form(100) >= 100
 
 
+def test_settled_orbits_match_the_closed_form_at_every_row():
+    assert check_settled_orbits(500) >= 500
+
+
 def test_repeating_orbits_are_told_apart_bit_for_bit():
     rows = stepped_orbit(SIGNED_ZEROS, GRID_25, 1000)
     # equal as values: a value rule would take this period-2 cycle for a
@@ -352,6 +359,85 @@ def test_only_exact_rotations_are_tiled(monkeypatch):
     contraction, elliptic = (_closed_form(s) for s in shapes[2:])
     assert contraction.turns == elliptic.turns == Fraction(1, 3)
     assert contraction.log_r < 0.0 and elliptic.log_r != 0.0
+
+
+def _settle_row(form, seeds, n):
+    # the first row from which every row up to n is row n, bit for bit; the
+    # fold, which compares the conjugated rows, comes at it or after it
+    rows = form.iterates(seeds, np.arange(1, n + 1)).view(np.int64)
+    moved = np.flatnonzero((rows != rows[-1]).any(axis=1))
+    return int(moved[-1]) + 2 if moved.size else 1
+
+
+def test_settled_contractions_are_tiled_from_their_settle_row(monkeypatch):
+    # real multipliers 0 < kappa < 1: p on the real axis (z/2, (z + 1)/2
+    # and the gallery's hyperbolic map), rotated hyperbolic and tangent
+    # maps, a dilation and an affine map with real slope; one seed and 25
+    rng = np.random.default_rng(SEED + 28)
+    shapes = [HALF, TANGENT, HYPERBOLIC, de.Moebius(0.3, 0, 0, 1), de.Polynomial([0.2j, 0.7])]
+    for _ in range(3):
+        u, r = cmath.exp(1j * rng.uniform(0, 2 * math.pi)), rng.uniform(0.2, 0.8)
+        shapes += [de.Moebius(1 + r, (1 - r) * u, (1 - r) * u.conjugate(), 1 + r),
+                   de.Moebius(1 - r, r * u, 0, 1)]
+    asked, settled = [], symbols._ClosedForm.settled
+
+    def counting(form, seeds, m, limit):
+        asked.append(len(m))
+        return settled(form, seeds, m, limit)
+
+    monkeypatch.setattr(symbols._ClosedForm, "settled", counting)
+    n = 20000
+    for s in shapes:
+        form = _closed_form(s)
+        assert form.turns == 0 and form.log_r < 0.0, s
+        for seeds in (np.array([0.3 + 0.4j]), GRID_25):
+            settle = _settle_row(form, seeds, 4000)
+            asked.clear()
+            folded = list(symbols._folded_blocks(s, seeds, n))
+            m0, block, period = folded[-1]
+            end = m0 + len(block)
+            assert period == 1 and settle <= end < n, (s, len(seeds), settle, end)
+            assert sum(asked[:-1]) < end <= sum(asked), (s, asked, end)
+            rows = max(1, symbols.BLOCK_POINTS // len(seeds))
+            blocks = list(orbit_blocks(s, seeds, n))
+            assert [(m0, len(b)) for m0, b in blocks] == list(symbols._block_spans(n, rows, rows))
+            got = np.concatenate([b for _, b in blocks])
+            assert got.tobytes() == form.iterates(seeds, np.arange(1, n + 1)).tobytes(), s
+
+
+def test_orbits_that_do_not_settle_within_n_keep_their_blocks(monkeypatch):
+    # the settle path is taken only when the settle estimate is below n.
+    # Rotated parabolic automorphisms round to turns 0 with log_r of about
+    # -1e-9 to -4e-8, estimated to settle after some 10^9 rows; a real
+    # contraction asked for fewer rows than its estimate; complex
+    # multipliers and the shapes of test_only_exact_rotations_are_tiled,
+    # which never take it: blocks of full length from the first row, each
+    # asked of iterates once, with its bits
+    rng = np.random.default_rng(SEED + 29)
+    parabolic = []
+    while len(parabolic) < 4:
+        s = _rotated_parabolic(rng)
+        form = _closed_form(s)
+        if form.turns == 0 and form.log_r < 0.0:
+            parabolic.append(s)
+    third = cmath.exp(2j * math.pi / 3)
+    shapes = parabolic + [HALF, de.Moebius(0.5 * cmath.exp(1j), 0.1, 0, 1),
+                          de.Moebius(0.5 * third, 0, 0, 1), de.gallery_symbol("parab"),
+                          de.gallery_symbol("rot_golden"),
+                          de.make_automorphism("elliptic", angle=2 * math.pi / 3,
+                                               fixed_point=0.3 + 0.4j)]
+    asked = count_iterate_rows(monkeypatch)
+    rows = symbols.BLOCK_POINTS // len(GRID_25)
+    for s in shapes:
+        form = _closed_form(s)
+        for n in (1000, 20000) if s is not HALF else (1000,):
+            assert form.settling(GRID_25, n) is None, (s, n)
+            asked.clear()
+            blocks = list(orbit_blocks(s, GRID_25, n))
+            spans = list(symbols._block_spans(n, rows, rows))
+            assert [(m0, len(b)) for m0, b in blocks] == spans and asked == [c for _, c in spans]
+            got = np.concatenate([b for _, b in blocks])
+            assert got.tobytes() == form.iterates(GRID_25, np.arange(1, n + 1)).tobytes(), s
 
 
 def test_rotation_snap_compares_the_turn_exactly():
